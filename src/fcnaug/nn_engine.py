@@ -5,6 +5,17 @@ throughout.  Each block is conv (linear, same padding) -> batch norm ->
 ReLU; the blocks feed a global average pool and a dense layer producing
 two logits.  Backward passes are derived analytically and are checked
 against central finite differences in the test suite.
+
+Infer mode normalizes by fixed running statistics, so each block's batch
+norm is a per-channel affine map; it is folded into the conv weights and
+bias, and the ReLU is applied in place.  Callers score in 32-row blocks
+(``training.INFER_BLOCK``).
+
+Train mode runs the layers unfolded but with fewer full-tensor passes:
+batch norm derives the variance from the centered values it normalizes and
+writes into the conv output, and the ReLU is applied in place.  Its logits,
+running statistics and gradients equal the chain of public layer functions
+bit for bit.
 """
 
 from __future__ import annotations
@@ -159,15 +170,24 @@ def zeros_params(config: FcnConfig) -> FcnParams:
 # ---------------------------------------------------------------------------
 
 
+def _conv_taps(kernel: int, length: int):
+    """(k, shift, lo, hi) per kernel tap: output steps lo..hi-1 read input t + shift.
+
+    A tap that only ever reads the zero padding is left out.
+    """
+    for k in range(kernel):
+        shift = k - kernel // 2
+        lo, hi = max(0, -shift), min(length, length - shift)
+        if lo < hi:
+            yield k, shift, lo, hi
+
+
 def _conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
     """im2col for same-padded 1-D convolution: (B*L, kernel*Cin)."""
     b, length, cin = x.shape
-    pad = kernel // 2
-    xp = np.zeros((b, length + 2 * pad, cin))
-    xp[:, pad : pad + length, :] = x
-    cols = np.empty((b, length, kernel, cin))
-    for k in range(kernel):
-        cols[:, :, k, :] = xp[:, k : k + length, :]
+    cols = np.zeros((b, length, kernel, cin))
+    for k, shift, lo, hi in _conv_taps(kernel, length):
+        cols[:, lo:hi, k, :] = x[:, lo + shift : hi + shift, :]
     return cols.reshape(b * length, kernel * cin)
 
 
@@ -194,7 +214,8 @@ def _conv1d_forward_cols(x: np.ndarray, weights: np.ndarray, bias: np.ndarray):
         raise ShapeError(f"bias shape {bias.shape} does not match {cout} filters")
     b, length, _ = x.shape
     cols = _conv_cols(x, kernel)
-    out = cols @ weights.reshape(kernel * cin, cout) + bias
+    out = cols @ weights.reshape(kernel * cin, cout)
+    out += bias
     return out.reshape(b, length, cout), cols
 
 
@@ -212,17 +233,21 @@ def conv1d_backward(
         raise ShapeError(
             f"upstream gradient shape {grad_out.shape} does not match ({b}, {length}, {cout})"
         )
-    pad = kernel // 2
-    flat = grad_out.reshape(b * length, cout)
-    grad_bias = flat.sum(axis=0)
     if cols is None:
         cols = _conv_cols(x, kernel)
-    grad_weights = (cols.T @ flat).reshape(kernel, cin, cout)
+    grad_weights, grad_bias = _conv_param_grads(grad_out, cols, weights.shape)
+    flat = grad_out.reshape(b * length, cout)
     dcols = (flat @ weights.reshape(kernel * cin, cout).T).reshape(b, length, kernel, cin)
-    grad_xp = np.zeros((b, length + 2 * pad, cin))
-    for k in range(kernel):
-        grad_xp[:, k : k + length, :] += dcols[:, :, k, :]
-    return grad_xp[:, pad : pad + length, :], grad_weights, grad_bias
+    grad_x = np.zeros((b, length, cin))
+    for k, shift, lo, hi in _conv_taps(kernel, length):
+        grad_x[:, lo + shift : hi + shift, :] += dcols[:, lo:hi, k, :]
+    return grad_x, grad_weights, grad_bias
+
+
+def _conv_param_grads(grad_out: np.ndarray, cols: np.ndarray, shape: tuple[int, ...]):
+    """(grad_weights, grad_bias) of a conv from its upstream gradient and im2col matrix."""
+    flat = grad_out.reshape(-1, shape[2])
+    return (cols.T @ flat).reshape(shape), flat.sum(axis=0)
 
 
 def batchnorm_forward(
@@ -251,14 +276,34 @@ def batchnorm_forward(
         inv_std = 1.0 / np.sqrt(running_var + eps)
         out = gamma * (x - running_mean) * inv_std + beta
         return out, None, running_mean, running_var
+    return _batchnorm_train(x, gamma, beta, running_mean, running_var, eps, momentum)
+
+
+def _batchnorm_train(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    eps: float = BN_EPS,
+    momentum: float = BN_MOMENTUM,
+    out: np.ndarray | None = None,
+):
+    """Train-mode :func:`batchnorm_forward`, writing into ``out`` (x itself is allowed)."""
     n = x.shape[0] * x.shape[1]
     if n < 2:
         raise ShapeError("train-mode batchnorm needs at least 2 values per channel")
+    # Same arithmetic as x.var(axis=(0, 1)) (biased, matching the running
+    # update), sharing its mean and centered values with the normalization.
     mean = x.mean(axis=(0, 1))
-    var = x.var(axis=(0, 1))  # biased, matching the running update
+    xhat = x - mean
+    if out is None:
+        out = np.empty_like(xhat)
+    var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 1)) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    out = gamma * xhat + beta
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=out)
+    out += beta
     new_mean = momentum * running_mean + (1.0 - momentum) * mean
     new_var = momentum * running_var + (1.0 - momentum) * var
     cache = (xhat, inv_std, gamma)
@@ -279,11 +324,20 @@ def batchnorm_backward(grad_out: np.ndarray, cache):
         )
     n = xhat.shape[0] * xhat.shape[1]
     grad_beta = grad_out.sum(axis=(0, 1))
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 1))
+    tmp = grad_out * xhat
+    grad_gamma = tmp.sum(axis=(0, 1))
     dxhat = grad_out * gamma
-    grad_x = (inv_std / n) * (
-        n * dxhat - dxhat.sum(axis=(0, 1)) - xhat * (dxhat * xhat).sum(axis=(0, 1))
-    )
+    np.multiply(dxhat, xhat, out=tmp)
+    # grad_x = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+    # evaluated in place in the same operation order.
+    sum_dxhat_xhat = tmp.sum(axis=(0, 1))
+    np.multiply(xhat, sum_dxhat_xhat, out=tmp)
+    sum_dxhat = dxhat.sum(axis=(0, 1))
+    grad_x = dxhat
+    grad_x *= n
+    grad_x -= sum_dxhat
+    grad_x -= tmp
+    grad_x *= inv_std / n
     return grad_x, grad_gamma, grad_beta
 
 
@@ -397,12 +451,26 @@ class FcnGrads:
         return self.by_name[name]
 
 
+def _folded_block_forward(x: np.ndarray, blk: ConvBlockParams) -> np.ndarray:
+    """Infer-mode conv -> batch norm -> ReLU as one conv with folded weights.
+
+    With running statistics, batch norm is ``conv * scale + (beta -
+    running_mean * scale)`` with ``scale = gamma / sqrt(running_var + eps)``,
+    so it folds into the conv's weights and bias.  The folded tensors are
+    rebuilt on every call because training updates the parameters in place.
+    """
+    scale = blk.gamma / np.sqrt(blk.running_var + BN_EPS)
+    out = conv1d_forward(x, blk.weights * scale, (blk.bias - blk.running_mean) * scale + blk.beta)
+    return np.maximum(out, 0.0, out=out)
+
+
 def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str):
     """Run the network: three conv blocks, global average pool, dense logits.
 
     Returns (logits, caches); caches are layer inputs needed by
     :func:`fcn_backward` and are only populated in train mode.  Train mode
-    updates each block's running statistics in place.
+    updates each block's running statistics in place; infer mode folds each
+    batch norm into its conv and keeps nothing.
     """
     _check_mode(mode)
     if batch.ndim != 3 or batch.shape[2] != params.config.block_in_channels()[0]:
@@ -413,15 +481,16 @@ def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str):
     x = batch
     block_caches = []
     for blk in params.blocks:
+        if mode == INFER:
+            x = _folded_block_forward(x, blk)
+            continue
         conv_out, cols = _conv1d_forward_cols(x, blk.weights, blk.bias)
-        bn_out, bn_cache, new_mean, new_var = batchnorm_forward(
-            conv_out, blk.gamma, blk.beta, blk.running_mean, blk.running_var, mode
+        bn_out, bn_cache, blk.running_mean, blk.running_var = _batchnorm_train(
+            conv_out, blk.gamma, blk.beta, blk.running_mean, blk.running_var, out=conv_out
         )
-        if mode == TRAIN:
-            blk.running_mean = new_mean
-            blk.running_var = new_var
-            block_caches.append((x, cols, bn_cache, bn_out))
-        x = relu(bn_out)
+        # ReLU in place: the activation keeps the sign mask relu_backward needs.
+        x_in, x = x, np.maximum(bn_out, 0.0, out=bn_out)
+        block_caches.append((x_in, cols, bn_cache, x))
     pooled = global_avg_pool(x)
     logits = dense_forward(pooled, params.dense_weights, params.dense_bias)
     caches = None
@@ -441,10 +510,13 @@ def fcn_backward(params: FcnParams, caches, grad_logits: np.ndarray) -> FcnGrads
     dx = gap_backward(dpooled, caches["length"])
     for i in range(len(params.blocks), 0, -1):
         blk = params.blocks[i - 1]
-        x_in, cols, bn_cache, bn_out = caches["blocks"][i - 1]
-        dbn_out = relu_backward(dx, bn_out)
+        x_in, cols, bn_cache, act = caches["blocks"][i - 1]
+        dbn_out = relu_backward(dx, act)
         dconv, dgamma, dbeta = batchnorm_backward(dbn_out, bn_cache)
-        dx, dweights, dbias = conv1d_backward(dconv, x_in, blk.weights, cols)
+        if i > 1:
+            dx, dweights, dbias = conv1d_backward(dconv, x_in, blk.weights, cols)
+        else:  # the network input needs no gradient
+            dweights, dbias = _conv_param_grads(dconv, cols, blk.weights.shape)
         grads[f"block{i}/conv_weights"] = dweights
         grads[f"block{i}/conv_bias"] = dbias
         grads[f"block{i}/bn_gamma"] = dgamma

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import jsonschema
 
+from . import __version__
 from .pipeline import ExperimentReport
-
-TOOL_VERSION = "0.1.0"
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -46,7 +45,7 @@ REPORT_SCHEMA = {
 def report_document(report: ExperimentReport, with_timestamp: bool = True) -> dict:
     """Flatten a report into its validated on-disk dictionary form."""
     doc = asdict(report)
-    doc["tool_version"] = TOOL_VERSION
+    doc["tool_version"] = __version__
     if with_timestamp:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     jsonschema.validate(doc, REPORT_SCHEMA)

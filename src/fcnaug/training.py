@@ -42,6 +42,13 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-7
 
+# Rows per infer-mode forward.  At 96 points and 64 filters a 32-row block's
+# im2col matrix is 4.7 MB and each activation 1.5 MB, close to a 4 MB L2
+# cache.  256-row blocks (37.7 MB and 12.6 MB) scored 2048 rows at 2.3k
+# rows/s against 4.0k at 32 on a 2-vCPU Xeon, one BLAS thread; 16 and 64
+# rows read the same as 32 within noise.
+INFER_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -154,11 +161,11 @@ def batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
 
 
-def infer_logits(params: FcnParams, values: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Infer-mode logits for an (N, L) value matrix, batched by ``chunk``."""
+def infer_logits(params: FcnParams, values: np.ndarray) -> np.ndarray:
+    """Infer-mode logits for an (N, L) value matrix, in blocks of INFER_BLOCK rows."""
     out = []
-    for start in range(0, values.shape[0], chunk):
-        x = values[start : start + chunk][:, :, None]
+    for start in range(0, values.shape[0], INFER_BLOCK):
+        x = values[start : start + INFER_BLOCK][:, :, None]
         logits, _ = fcn_forward(params, x, INFER)
         out.append(logits)
     return np.concatenate(out, axis=0)

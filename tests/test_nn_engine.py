@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcnaug.errors import LabelError, ShapeError
 from fcnaug.nn_engine import (
@@ -25,6 +27,7 @@ from fcnaug.nn_engine import (
     zeros_params,
 )
 from fcnaug.rng import RngStream
+from fcnaug.training import INFER_BLOCK, infer_logits
 
 from helpers import check_loss_gradients, fd_gradient_ok, numeric_grad
 
@@ -431,6 +434,98 @@ class TestFcnNetwork:
         doubled = grads_for(double, [1, 1])
         for name, _ in params.learnables():
             np.testing.assert_allclose(doubled[name], single[name], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 12, 8, 3), (3, 4, 6, 5), (2, 1, 4, 7)])
+    def test_train_pass_equals_layer_chain_exactly(self, shape):
+        batch, length, filters, kernel = shape
+        config = FcnConfig(series_len=length, filters=filters, kernel=kernel)
+        params = _nontrivial_params(config, 31)
+        x = np.random.default_rng(32).standard_normal((batch, length, 1))
+        labels = np.arange(batch) % 2
+
+        ref = params.copy()
+        acts, tapes = x, []
+        for blk in ref.blocks:
+            conv = conv1d_forward(acts, blk.weights, blk.bias)
+            bn, cache, blk.running_mean, blk.running_var = batchnorm_forward(
+                conv, blk.gamma, blk.beta, blk.running_mean, blk.running_var, TRAIN
+            )
+            tapes.append((acts, cache, bn))
+            acts = relu(bn)
+        pooled = global_avg_pool(acts)
+        ref_logits = dense_forward(pooled, ref.dense_weights, ref.dense_bias)
+        _, grad_logits = xent_loss(ref_logits, labels)
+        dpooled, _, _ = dense_backward(grad_logits, pooled, ref.dense_weights)
+        dx = gap_backward(dpooled, length)
+        ref_grads = {}
+        for i in range(3, 0, -1):
+            x_in, cache, bn = tapes[i - 1]
+            dconv, ref_grads[f"block{i}/bn_gamma"], ref_grads[f"block{i}/bn_beta"] = (
+                batchnorm_backward(relu_backward(dx, bn), cache)
+            )
+            dx, ref_grads[f"block{i}/conv_weights"], ref_grads[f"block{i}/conv_bias"] = (
+                conv1d_backward(dconv, x_in, ref.blocks[i - 1].weights)
+            )
+
+        logits, caches = fcn_forward(params, x, TRAIN)
+        grads = fcn_backward(params, caches, xent_loss(logits, labels)[1])
+        np.testing.assert_array_equal(logits, ref_logits)
+        for (name, got), (_, want) in zip(params.all_tensors(), ref.all_tensors()):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        for name, want in ref_grads.items():
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+
+def _nontrivial_params(config: FcnConfig, seed: int):
+    """Initialized parameters with batch norm far from the identity."""
+    params = init_params(config, RngStream(seed, "init"))
+    gen = np.random.default_rng(seed)
+    f = config.filters
+    for blk in params.blocks:
+        blk.bias = gen.normal(0.0, 0.3, f)
+        blk.gamma = gen.uniform(0.5, 1.5, f)
+        blk.beta = gen.normal(0.0, 0.3, f)
+        blk.running_mean = gen.normal(0.0, 0.3, f)
+        blk.running_var = gen.uniform(0.5, 2.0, f)
+    params.dense_bias = gen.normal(0.0, 0.1, config.class_count)
+    return params
+
+
+def _reference_infer(params, batch):
+    """Infer-mode logits through the unfolded layer primitives."""
+    x = batch
+    for blk in params.blocks:
+        conv = conv1d_forward(x, blk.weights, blk.bias)
+        bn, _, _, _ = batchnorm_forward(
+            conv, blk.gamma, blk.beta, blk.running_mean, blk.running_var, INFER
+        )
+        x = relu(bn)
+    return dense_forward(global_avg_pool(x), params.dense_weights, params.dense_bias)
+
+
+class TestFoldedInference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(1, 6),
+        length=st.integers(1, 20),
+        filters=st.integers(1, 16),
+        kernel=st.sampled_from([1, 3, 5, 7]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_unfolded_layers(self, batch, length, filters, kernel, seed):
+        config = FcnConfig(series_len=length, class_count=2, filters=filters, kernel=kernel)
+        params = _nontrivial_params(config, seed)
+        x = np.random.default_rng(seed + 1).standard_normal((batch, length, 1))
+        logits, caches = fcn_forward(params, x, INFER)
+        assert caches is None
+        np.testing.assert_allclose(logits, _reference_infer(params, x), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, INFER_BLOCK - 1, INFER_BLOCK + 1, 300])
+    def test_blocked_scoring_matches_one_forward(self, rows):
+        params = _nontrivial_params(FcnConfig(series_len=24), 21)
+        values = np.random.default_rng(rows).standard_normal((rows, 24))
+        whole, _ = fcn_forward(params, values[:, :, None], INFER)
+        np.testing.assert_allclose(infer_logits(params, values), whole, rtol=1e-12, atol=1e-12)
 
 
 class TestInitParams:
