@@ -4,6 +4,11 @@ A selected sample is augmented by cutting a random contiguous window
 (70% of the series by default), stretching it back to the original length
 with a not-a-knot cubic spline, and z-normalizing the result.  The whole
 procedure runs twice per sample with independent window draws.
+
+The spline is solved here in numpy and plain floats, in the operation order
+of scipy's ``CubicSpline`` and LAPACK's ``dgtsv``, so its output equals
+scipy's bit for bit (``tests/test_augmentation.py`` holds it to scipy) while
+the package does not import scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .data_io import TimeSeriesSample, znormalize
 from .errors import InterpolationError, ParameterError
@@ -68,16 +72,47 @@ def spline_resample(segment, target_len: int) -> np.ndarray:
 
     Knots sit at 0..m-1; the output grid spans [0, m-1] uniformly with both
     endpoints included, so input endpoints are reproduced exactly.
+
+    With unit knot spacing the knot slopes s solve a tridiagonal system with
+    diagonal [1, 4, ..., 4, 1], super-diagonal [2, 1, ...] and sub-diagonal
+    [..., 1, 2].  It is solved by elimination without pivoting, which is what
+    ``dgtsv`` does on this matrix for every m >= 4; each interval is then
+    evaluated as a cubic Hermite polynomial with its terms summed in the
+    order of scipy's ``PPoly``.  The result is exact to scipy's
+    ``CubicSpline(np.arange(m), segment)`` on the same grid.
     """
-    segment = np.asarray(segment, dtype=np.float64)
-    m = segment.shape[0]
+    y = np.asarray(segment, dtype=np.float64)
+    m = y.shape[0]
     if m < 4:
         raise InterpolationError(f"cubic spline needs at least 4 knots, got {m}")
     if target_len < 2:
         raise ParameterError(f"target length must be at least 2, got {target_len}")
-    spline = CubicSpline(np.arange(m), segment, bc_type="not-a-knot")
+    slope = y[1:] - y[:-1]
+    sl = slope.tolist()
+    # The right-hand side, overwritten in place by the knot slopes.
+    s = [(5.0 * sl[0] + sl[1]) / 2.0, *(3 * (slope[:-1] + slope[1:])).tolist(),
+         (sl[-2] + 5.0 * sl[-1]) / 2.0]
+    diag = [1.0] + [4.0] * (m - 2) + [1.0]
+    upper = [2.0] + [1.0] * (m - 2)
+    lower = [1.0] * (m - 2) + [2.0]
+    for k in range(m - 1):
+        fact = lower[k] / diag[k]
+        diag[k + 1] -= fact * upper[k]
+        s[k + 1] -= fact * s[k]
+    s[-1] /= diag[-1]
+    # dgtsv also subtracts 0.0 * s[k + 2] here; no eliminated right-hand
+    # side is -0.0, so that term cannot change a bit and is left out.
+    for k in range(m - 2, -1, -1):
+        s[k] = (s[k] - upper[k] * s[k + 1]) / diag[k]
+    s = np.array(s)
+    cubic = s[:-1] + s[1:] - 2 * slope
+    square = (slope - s[:-1]) - cubic
     grid = np.linspace(0.0, float(m - 1), target_len)
-    return spline(grid)
+    i = np.minimum(grid.astype(np.intp), m - 2)
+    z = grid - i
+    z2 = z * z
+    # PPoly starts its sum at 0.0, which turns a -0.0 knot value into +0.0.
+    return (((0.0 + y[i]) + s[i] * z) + square[i] * z2) + cubic[i] * (z2 * z)
 
 
 def augment_sample(

@@ -12,12 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample
+from .augmentation import DEFAULT_WINDOW_FRACTION
 from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test
-from .errors import DataFormatError, FcnAugError, UnsupportedLabelError
+from .errors import DataFormatError, FcnAugError, SplitError, UnsupportedLabelError
 from .pipeline import (
     VAL_TESTA,
     DataSplits,
+    augment_selected,
     resolve_validation,
     run_baseline_detailed,
     run_selective_detailed,
@@ -184,7 +185,10 @@ def _load_dataset(path_str: str) -> Dataset:
 def _load_split(args) -> tuple[Dataset, Dataset, Dataset]:
     train_ds = _load_dataset(args.train)
     test_ds = _load_dataset(args.test)
-    test_a, test_b = split_test(test_ds)
+    try:
+        test_a, test_b = split_test(test_ds)
+    except SplitError as exc:
+        raise UsageError(f"{args.test}: {exc}") from None
     return train_ds, test_a, test_b
 
 
@@ -307,12 +311,8 @@ def cmd_augment(args) -> int:
     model = load_checkpoint(ckpt_path)
     probe = _load_dataset(args.probe)
     selection = select_low_confidence(model.params, probe, alpha)
-    rng = RngStream(int(opts["seed"]))
-    augmented = []
-    for idx in selection.indices:
-        augmented.extend(
-            augment_sample(probe.samples[idx], float(opts["fraction"]),
-                           rng.child("augment", idx)))
+    augmented = augment_selected(probe, selection, float(opts["fraction"]),
+                                 RngStream(int(opts["seed"])))
     out = _outdir(opts)
     write_json(out / "augment.selection.json", {
         "threshold": selection.threshold,

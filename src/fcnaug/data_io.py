@@ -190,13 +190,23 @@ def load_ucr_file(path: str | Path) -> Dataset:
 
 
 def remap_labels(dataset: Dataset) -> Dataset:
-    """Map raw labels -1 -> 0 and 1 -> 1; idempotent on {0, 1} labels."""
+    """Map raw labels -1 -> 0 and 1 -> 1; idempotent on {0, 1} labels.
+
+    A file uses one convention, -1/1 or 0/1: labels -1 and 0 together would
+    fall into one class, so they raise :class:`UnsupportedLabelError`.
+    """
     mapping = {-1: 0, 0: 0, 1: 1}
     remapped = []
     for i, s in enumerate(dataset.samples):
         if s.label not in mapping:
             raise UnsupportedLabelError(f"sample {i + 1} has unsupported label {s.label}")
         remapped.append(TimeSeriesSample(s.values, mapping[s.label], s.degenerate))
+    labels = {s.label for s in dataset.samples}
+    if {-1, 0} <= labels:
+        raise UnsupportedLabelError(
+            f"labels {sorted(labels)} mix the -1/1 and 0/1 conventions; "
+            "-1 and 0 would merge into one class"
+        )
     return Dataset(tuple(remapped), dataset.series_len, 2)
 
 

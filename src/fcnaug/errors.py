@@ -14,7 +14,7 @@ class DataParseError(DataFormatError):
 
 
 class UnsupportedLabelError(FcnAugError):
-    """A class label outside the supported {-1, 0, 1} mapping."""
+    """A class label outside the {-1, 0, 1} mapping, or -1 and 0 in one file."""
 
 
 class SplitError(FcnAugError):

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample
-from .data_io import Dataset, split_test
+from .data_io import Dataset, TimeSeriesSample
 from .errors import ParameterError, ShapeError
 from .nn_engine import FcnParams, PredictionDist, softmax_batch
 from .rng import RngStream, derive_seed
@@ -65,11 +65,6 @@ class DataSplits:
     test_a: Dataset
     test_b: Dataset
 
-    @classmethod
-    def from_datasets(cls, train: Dataset, test: Dataset) -> "DataSplits":
-        test_a, test_b = split_test(test)
-        return cls(train, test_a, test_b)
-
 
 @dataclass
 class BaselineArtifacts:
@@ -118,6 +113,21 @@ def select_low_confidence(
     alphas = predict_alphas(params, probe_set)
     indices = tuple(int(i) for i in np.flatnonzero(alphas < threshold))
     return SelectionResult(indices, tuple(float(alphas[i]) for i in indices), threshold)
+
+
+def augment_selected(
+    probe_set: Dataset, selection: SelectionResult, fraction: float, rng: RngStream
+) -> list[TimeSeriesSample]:
+    """Two augmentations of each selected probe sample, in selection order.
+
+    Sample ``idx`` draws from ``rng.child("augment", idx)``, so its pair does
+    not depend on which other samples were selected.
+    """
+    augmented = []
+    for idx in selection.indices:
+        augmented.extend(
+            augment_sample(probe_set.samples[idx], fraction, rng.child("augment", idx)))
+    return augmented
 
 
 def resolve_validation(
@@ -219,12 +229,7 @@ def run_selective_detailed(
 
     initial = train(cfg, train_used, val_set, rng.child("train", "initial"))
     selection = select_low_confidence(initial.params, test_a, threshold)
-
-    augmented = []
-    for probe_index in selection.indices:
-        sample = test_a.samples[probe_index]
-        pair = augment_sample(sample, fraction, rng.child("augment", probe_index))
-        augmented.extend(pair)
+    augmented = augment_selected(test_a, selection, fraction, rng)
 
     if augmented:
         expanded = Dataset(

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fcnaug
 from fcnaug.augmentation import (
     augment_sample,
     enumerate_slices,
@@ -117,6 +125,49 @@ class TestSplineResample:
     def test_bad_target_length(self):
         with pytest.raises(ParameterError):
             spline_resample(np.ones(5), 1)
+
+
+@st.composite
+def spline_segments(draw):
+    """Random, flat and integer-valued segments of 4 to 200 knots."""
+    m = draw(st.integers(4, 200))
+    kind = draw(st.sampled_from(["random", "flat", "integer"]))
+    if kind == "integer":
+        return np.array(draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m)),
+                        dtype=np.float64)
+    if kind == "flat":
+        values = [draw(st.floats(-1.0, 1.0))] * m
+    else:
+        values = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    return np.array(values) * 10.0 ** draw(st.floats(-6.0, 6.0))
+
+
+@pytest.fixture(scope="module")
+def cubic_spline():
+    return pytest.importorskip("scipy.interpolate").CubicSpline
+
+
+class TestSplineOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(segment=spline_segments(), target_len=st.integers(2, 300))
+    # a -0.0 knot on the output grid, where scipy's sum turns it into +0.0
+    @example(segment=np.array([2.0, -0.0, -0.0, -2.0]), target_len=4)
+    def test_equals_scipy_cubic_spline(self, cubic_spline, segment, target_len):
+        m = segment.shape[0]
+        expected = cubic_spline(np.arange(m), segment)(np.linspace(0, m - 1, target_len))
+        out = spline_resample(segment, target_len)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_package_import_loads_no_scipy(self):
+        src = str(Path(fcnaug.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, fcnaug.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestAugmentSample:

@@ -63,6 +63,26 @@ class TestBaselineCommand:
         assert lines[0].startswith("mode,alpha_threshold,")
         assert lines[1].startswith("baseline,")
 
+    def test_mixed_label_conventions_exit_2(self, data_files, tmp_path, capsys):
+        _, test = data_files
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_text("-1\t0.5\t1.5\n0\t1.0\t2.0\n1\t3.0\t4.0\n")
+        code = run_cli("baseline", "--train", mixed, "--test", test,
+                       "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "mixed.tsv" in err and "[-1, 0, 1]" in err
+
+    def test_odd_sized_test_file_exits_2(self, data_files, tmp_path, capsys):
+        train, test = data_files
+        lines = Path(test).read_text().splitlines()
+        odd = tmp_path / "odd.tsv"
+        odd.write_text("\n".join(lines[:-1]) + "\n")
+        code = run_cli("baseline", "--train", train, "--test", odd,
+                       "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 2
+        assert "odd.tsv" in capsys.readouterr().err
+
     def test_unknown_flag_usage_error(self, data_files):
         train, test = data_files
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,14 @@ class TestRemapLabels:
     def test_unsupported_label(self):
         with pytest.raises(UnsupportedLabelError):
             remap_labels(parse_ucr("2 1 2"))
+
+    @pytest.mark.parametrize("text, found", [
+        ("-1 1 2\n0 3 4\n1 5 6", "[-1, 0, 1]"),
+        ("0 1 2\n-1 3 4", "[-1, 0]"),
+    ])
+    def test_mixed_conventions_rejected(self, text, found):
+        with pytest.raises(UnsupportedLabelError, match=re.escape(found)):
+            remap_labels(parse_ucr(text))
 
 
 class TestZnormalize:
