@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .data_io import Dataset, TimeSeriesSample, load_ucr_file, parse_ucr, remap_labels
-from .pipeline import DataSplits, run_baseline, run_selective, sweep
+from .pipeline import DataSplits, run_baseline_detailed, run_selective_detailed, sweep
 from .training import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 
 __all__ = [
@@ -13,8 +13,8 @@ __all__ = [
     "parse_ucr",
     "remap_labels",
     "DataSplits",
-    "run_baseline",
-    "run_selective",
+    "run_baseline_detailed",
+    "run_selective_detailed",
     "sweep",
     "TrainConfig",
     "evaluate",

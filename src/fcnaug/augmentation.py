@@ -58,15 +58,6 @@ def slice_window(series, fraction: float, rng: RngStream) -> WindowSlice:
     return WindowSlice(start, s, series[start : start + s].copy())
 
 
-def enumerate_slices(series, s: int) -> list[WindowSlice]:
-    """All n - s + 1 length-s slices in order (test support for the sample space)."""
-    series = np.asarray(series, dtype=np.float64)
-    n = series.shape[0]
-    if not 1 <= s <= n:
-        raise ParameterError(f"slice length {s} out of range for series of length {n}")
-    return [WindowSlice(i, s, series[i : i + s].copy()) for i in range(n - s + 1)]
-
-
 def spline_resample(segment, target_len: int) -> np.ndarray:
     """Resample a segment to target_len points with a not-a-knot cubic spline.
 

@@ -1,8 +1,9 @@
 """Command-line entry points: baseline, selective, sweep, augment, evaluate.
 
-Exit codes: 0 success, 2 usage or input validation, 1 runtime failure.
-Flag values override an optional JSON config file, which overrides
-built-in defaults.
+Exit codes: 0 success; 2 usage or input validation (bad flags, config
+values or input files, and every out-of-range parameter); 1 runtime failure
+(training, checkpoint and file-system errors).  Flag values override an
+optional JSON config file, which overrides built-in defaults.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from pathlib import Path
 
 from .augmentation import DEFAULT_WINDOW_FRACTION
 from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test
-from .errors import DataFormatError, FcnAugError, SplitError, UnsupportedLabelError
+from .errors import (
+    DataFormatError,
+    FcnAugError,
+    ParameterError,
+    SplitError,
+    UnsupportedLabelError,
+)
 from .pipeline import (
     VAL_TESTA,
     DataSplits,
@@ -62,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int, help="base seed (default 0)")
         p.add_argument("--out", help="output directory (default runs/)")
-        p.add_argument("--format", choices=["json", "csv"], dest="fmt",
+        p.add_argument("--format", choices=["json", "csv"],
                        help="report format (default json; csv adds a CSV copy)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit timestamps so reruns are byte-identical")
@@ -118,10 +125,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FcnAugError as exc:
+    except (FcnAugError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -144,32 +151,28 @@ def _resolve_options(args) -> dict:
         if not isinstance(file_values, dict):
             raise UsageError(f"config file {path} must contain a JSON object")
 
-    def pick(name):
+    opts = {}
+    for name, default in DEFAULTS.items():
         value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in file_values:
-            return file_values[name]
-        return DEFAULTS.get(name)
-
-    opts = {name: pick(name) for name in
-            ("seed", "epochs", "batch_size", "fraction", "val", "out")}
-    opts["fmt"] = getattr(args, "fmt", None) or file_values.get("format") or DEFAULTS["format"]
-    opts["with_timestamp"] = not getattr(args, "no_timestamp", False)
-    if not 0.0 < float(opts["fraction"]) <= 1.0:
+        if value is None:
+            value = file_values.get(name, default)
+        # Each option has its default's type; bool is an int subclass, and a
+        # JSON integer is a valid float.
+        kind = type(default)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise UsageError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        opts[name] = kind(value)
+    if opts["format"] not in ("json", "csv"):
+        raise UsageError(f"format must be json or csv, got {opts['format']!r}")
+    if not 0.0 < opts["fraction"] <= 1.0:
         raise UsageError(f"--fraction must lie in (0, 1], got {opts['fraction']}")
+    opts["with_timestamp"] = not getattr(args, "no_timestamp", False)
     return opts
 
 
 def _train_config(opts) -> TrainConfig:
-    try:
-        return TrainConfig(
-            epochs=int(opts["epochs"]),
-            batch_size=int(opts["batch_size"]),
-            seed=int(opts["seed"]),
-        )
-    except FcnAugError as exc:
-        raise UsageError(str(exc)) from None
+    return TrainConfig(epochs=opts["epochs"], batch_size=opts["batch_size"], seed=opts["seed"])
 
 
 def _load_dataset(path_str: str) -> Dataset:
@@ -192,12 +195,6 @@ def _load_split(args) -> tuple[Dataset, Dataset, Dataset]:
     return train_ds, test_a, test_b
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError(f"--alpha must lie in [0, 1], got {alpha}")
-    return float(alpha)
-
-
 def _parse_alphas(spec_str: str) -> list[float]:
     try:
         if ":" in spec_str:
@@ -216,9 +213,6 @@ def _parse_alphas(spec_str: str) -> list[float]:
         raise UsageError(f"bad --alphas value {spec_str!r}: {exc}") from None
     if not values:
         raise UsageError("--alphas produced an empty threshold list")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise UsageError(f"threshold {v} outside [0, 1]")
     return values
 
 
@@ -242,7 +236,7 @@ def cmd_baseline(args) -> int:
     out = _outdir(opts)
     write_json(out / "baseline.report.json",
                report_document(artifacts.report, opts["with_timestamp"]))
-    if opts["fmt"] == "csv":
+    if opts["format"] == "csv":
         (out / "baseline.report.csv").write_text(report_csv(artifacts.report))
     save_checkpoint(artifacts.model, out / "baseline.ckpt.json")
     (out / "baseline.history.csv").write_text(history_csv(artifacts.model))
@@ -255,15 +249,14 @@ def cmd_baseline(args) -> int:
 def cmd_selective(args) -> int:
     opts = _resolve_options(args)
     cfg = _train_config(opts)
-    alpha = _check_alpha(args.alpha)
     train_ds, test_a, test_b = _load_split(args)
     artifacts = run_selective_detailed(
-        cfg, train_ds, test_a, test_b, alpha, float(opts["fraction"]), opts["val"]
+        cfg, train_ds, test_a, test_b, args.alpha, opts["fraction"], opts["val"]
     )
     out = _outdir(opts)
     write_json(out / "selective.report.json",
                report_document(artifacts.report, opts["with_timestamp"]))
-    if opts["fmt"] == "csv":
+    if opts["format"] == "csv":
         (out / "selective.report.csv").write_text(report_csv(artifacts.report))
     save_checkpoint(artifacts.initial_model, out / "selective.initial.ckpt.json")
     save_checkpoint(artifacts.final_model, out / "selective.final.ckpt.json")
@@ -271,7 +264,7 @@ def cmd_selective(args) -> int:
         serialize_ucr(artifacts.expanded_train))
     (out / "selective.history.csv").write_text(history_csv(artifacts.final_model))
     r = artifacts.report
-    print(f"selective: alpha={alpha} selected={r.selected_count} "
+    print(f"selective: alpha={args.alpha} selected={r.selected_count} "
           f"accuracy={r.accuracy:.4f} loss={r.loss:.4f} out={out}")
     return 0
 
@@ -282,7 +275,7 @@ def cmd_sweep(args) -> int:
     thresholds = _parse_alphas(args.alphas)
     train_ds, test_a, test_b = _load_split(args)
     splits = DataSplits(train_ds, test_a, test_b)
-    reports = sweep(cfg, splits, thresholds, float(opts["fraction"]), opts["val"])
+    reports = sweep(cfg, splits, thresholds, opts["fraction"], opts["val"])
     out = _outdir(opts)
     write_json(out / "sweep.reports.json",
                [report_document(r, opts["with_timestamp"]) for r in reports])
@@ -304,15 +297,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_augment(args) -> int:
     opts = _resolve_options(args)
-    alpha = _check_alpha(args.alpha)
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.is_file():
         raise UsageError(f"file not found: {ckpt_path}")
     model = load_checkpoint(ckpt_path)
     probe = _load_dataset(args.probe)
-    selection = select_low_confidence(model.params, probe, alpha)
-    augmented = augment_selected(probe, selection, float(opts["fraction"]),
-                                 RngStream(int(opts["seed"])))
+    selection = select_low_confidence(model.params, probe, args.alpha)
+    augmented = augment_selected(probe, selection, opts["fraction"], RngStream(opts["seed"]))
     out = _outdir(opts)
     write_json(out / "augment.selection.json", {
         "threshold": selection.threshold,
@@ -341,7 +332,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint(ckpt_path)
     data = _load_dataset(args.data)
     accuracy, loss = evaluate(model.params, data)
-    if opts["fmt"] == "json":
+    if opts["format"] == "json":
         print(json.dumps({"accuracy": accuracy, "loss": loss}, sort_keys=True))
     else:
         print(f"accuracy={accuracy!r} loss={loss!r}")

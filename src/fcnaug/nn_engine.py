@@ -76,6 +76,19 @@ class ConvBlockParams:
     running_var: np.ndarray  # (filters,)
 
 
+# The tensors of each block: (name inside the block, ConvBlockParams field,
+# learnable).  Tensor names read "block{i}/<name>"; running statistics are
+# checkpointed but not trained.
+BLOCK_TENSORS = (
+    ("conv_weights", "weights", True),
+    ("conv_bias", "bias", True),
+    ("bn_gamma", "gamma", True),
+    ("bn_beta", "beta", True),
+    ("bn_running_mean", "running_mean", False),
+    ("bn_running_var", "running_var", False),
+)
+
+
 @dataclass
 class FcnParams:
     """All parameters of the three-block network."""
@@ -85,34 +98,22 @@ class FcnParams:
     dense_weights: np.ndarray  # (filters, class_count)
     dense_bias: np.ndarray  # (class_count,)
 
+    def _tensors(self, learnable_only: bool) -> list[tuple[str, np.ndarray]]:
+        out = [
+            (f"block{i}/{name}", getattr(blk, attr))
+            for i, blk in enumerate(self.blocks, start=1)
+            for name, attr, learnable in BLOCK_TENSORS
+            if learnable or not learnable_only
+        ]
+        return out + [("dense/weights", self.dense_weights), ("dense/bias", self.dense_bias)]
+
     def learnables(self) -> list[tuple[str, np.ndarray]]:
         """Learnable tensors in a fixed order (running stats excluded)."""
-        out = []
-        for i, blk in enumerate(self.blocks, start=1):
-            out.append((f"block{i}/conv_weights", blk.weights))
-            out.append((f"block{i}/conv_bias", blk.bias))
-            out.append((f"block{i}/bn_gamma", blk.gamma))
-            out.append((f"block{i}/bn_beta", blk.beta))
-        out.append(("dense/weights", self.dense_weights))
-        out.append(("dense/bias", self.dense_bias))
-        return out
+        return self._tensors(learnable_only=True)
 
     def all_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Learnables plus running statistics, for checkpointing."""
-        out = []
-        for i, blk in enumerate(self.blocks, start=1):
-            out.append((f"block{i}/conv_weights", blk.weights))
-            out.append((f"block{i}/conv_bias", blk.bias))
-            out.append((f"block{i}/bn_gamma", blk.gamma))
-            out.append((f"block{i}/bn_beta", blk.beta))
-            out.append((f"block{i}/bn_running_mean", blk.running_mean))
-            out.append((f"block{i}/bn_running_var", blk.running_var))
-        out.append(("dense/weights", self.dense_weights))
-        out.append(("dense/bias", self.dense_bias))
-        return out
-
-    def learnable_count(self) -> int:
-        return sum(int(t.size) for _, t in self.learnables())
+        return self._tensors(learnable_only=False)
 
     def copy(self) -> "FcnParams":
         return copy.deepcopy(self)
@@ -125,27 +126,23 @@ def init_params(config: FcnConfig, rng: RngStream) -> FcnParams:
     fan_out = kernel * filters.
     """
     gen = rng.generator()
-    blocks = []
-    for cin in config.block_in_channels():
-        limit = np.sqrt(6.0 / (config.kernel * cin + config.kernel * config.filters))
-        weights = gen.uniform(-limit, limit, size=(config.kernel, cin, config.filters))
-        blocks.append(
-            ConvBlockParams(
-                weights=weights,
-                bias=np.zeros(config.filters),
-                gamma=np.ones(config.filters),
-                beta=np.zeros(config.filters),
-                running_mean=np.zeros(config.filters),
-                running_var=np.ones(config.filters),
-            )
-        )
+    params = zeros_params(config)
+    for blk in params.blocks:
+        kernel, cin, filters = blk.weights.shape
+        limit = np.sqrt(6.0 / (kernel * cin + kernel * filters))
+        blk.weights[...] = gen.uniform(-limit, limit, size=blk.weights.shape)
+        blk.gamma[...] = 1.0
+        blk.running_var[...] = 1.0
     limit = np.sqrt(6.0 / (config.filters + config.class_count))
-    dense_w = gen.uniform(-limit, limit, size=(config.filters, config.class_count))
-    return FcnParams(config, blocks, dense_w, np.zeros(config.class_count))
+    params.dense_weights[...] = gen.uniform(-limit, limit, size=params.dense_weights.shape)
+    return params
 
 
 def zeros_params(config: FcnConfig) -> FcnParams:
-    """All-zero parameters (running var included); useful as a null model."""
+    """All-zero parameters, running variance included.
+
+    A null model, and the template :func:`~fcnaug.training.load_checkpoint` fills.
+    """
     blocks = [
         ConvBlockParams(
             weights=np.zeros((config.kernel, cin, config.filters)),
@@ -441,16 +438,6 @@ def xent_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FcnGrads:
-    """Gradients mirroring the learnable layout of FcnParams."""
-
-    by_name: dict[str, np.ndarray]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.by_name[name]
-
-
 def _folded_block_forward(x: np.ndarray, blk: ConvBlockParams) -> np.ndarray:
     """Infer-mode conv -> batch norm -> ReLU as one conv with folded weights.
 
@@ -499,8 +486,8 @@ def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str):
     return logits, caches
 
 
-def fcn_backward(params: FcnParams, caches, grad_logits: np.ndarray) -> FcnGrads:
-    """Backpropagate a logit gradient to every learnable parameter."""
+def fcn_backward(params: FcnParams, caches, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradient of every learnable tensor, keyed by its :meth:`FcnParams.learnables` name."""
     if caches is None or "blocks" not in caches or len(caches["blocks"]) != len(params.blocks):
         raise ShapeError("fcn_backward requires caches from a train-mode forward pass")
     grads: dict[str, np.ndarray] = {}
@@ -521,4 +508,4 @@ def fcn_backward(params: FcnParams, caches, grad_logits: np.ndarray) -> FcnGrads
         grads[f"block{i}/conv_bias"] = dbias
         grads[f"block{i}/bn_gamma"] = dgamma
         grads[f"block{i}/bn_beta"] = dbeta
-    return FcnGrads(grads)
+    return grads

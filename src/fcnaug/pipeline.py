@@ -15,7 +15,7 @@ import numpy as np
 
 from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample
 from .data_io import Dataset, TimeSeriesSample
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .nn_engine import FcnParams, PredictionDist, softmax_batch
 from .rng import RngStream, derive_seed
 from .training import TrainConfig, TrainedModel, evaluate, infer_logits, train
@@ -89,15 +89,15 @@ def confidence_alpha(dist: PredictionDist) -> float:
     return float(abs(dist.probs[0] - dist.probs[1]))
 
 
+def _check_threshold(threshold: float) -> None:
+    """Reject a confidence-margin threshold (alpha) outside [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ParameterError(f"alpha threshold must lie in [0, 1], got {threshold}")
+
+
 def predict_alphas(params: FcnParams, probe_set: Dataset) -> np.ndarray:
     """Per-sample confidence margins of infer-mode predictions."""
-    if probe_set.series_len != params.config.series_len:
-        raise ShapeError(
-            f"probe series length {probe_set.series_len} does not match the model's "
-            f"{params.config.series_len}"
-        )
-    logits = infer_logits(params, probe_set.values_matrix())
-    probs = softmax_batch(logits)
+    probs = softmax_batch(infer_logits(params, probe_set.values_matrix()))
     return np.abs(probs[:, 0] - probs[:, 1])
 
 
@@ -108,8 +108,7 @@ def select_low_confidence(
 
     Prediction correctness is irrelevant; only the margin matters.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ParameterError(f"threshold must lie in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     alphas = predict_alphas(params, probe_set)
     indices = tuple(int(i) for i in np.flatnonzero(alphas < threshold))
     return SelectionResult(indices, tuple(float(alphas[i]) for i in indices), threshold)
@@ -156,17 +155,36 @@ def resolve_validation(
     raise ParameterError(f"unknown validation mode {val_mode!r}")
 
 
-def _config_snapshot(cfg: TrainConfig, fraction: float | None, val_mode: str) -> dict:
-    snap = asdict(cfg)
-    snap["window_fraction"] = fraction
-    snap["val_mode"] = val_mode
-    return snap
-
-
-def run_baseline(
-    cfg: TrainConfig, train_set: Dataset, test_b: Dataset, val_set: Dataset
+def _report(
+    cfg: TrainConfig,
+    model: TrainedModel,
+    train_size: int,
+    test_b: Dataset,
+    val_mode: str,
+    selection: SelectionResult | None = None,
+    augmented_count: int = 0,
+    fraction: float | None = None,
 ) -> ExperimentReport:
-    return run_baseline_detailed(cfg, train_set, test_b, val_set).report
+    """Evaluate ``model`` on the eval half and record the run.
+
+    Without a selection the run is a baseline row, with one a selective row.
+    """
+    accuracy, loss = evaluate(model.params, test_b)
+    config = asdict(cfg)
+    config["window_fraction"] = fraction
+    config["val_mode"] = val_mode
+    return ExperimentReport(
+        mode="baseline" if selection is None else "selective",
+        alpha_threshold=None if selection is None else selection.threshold,
+        selected_count=0 if selection is None else len(selection.indices),
+        augmented_count=augmented_count,
+        train_size_final=train_size,
+        accuracy=accuracy,
+        loss=loss,
+        seed=cfg.seed,
+        best_epoch=model.best_epoch,
+        config=config,
+    )
 
 
 def run_baseline_detailed(
@@ -177,33 +195,8 @@ def run_baseline_detailed(
     val_mode: str = VAL_TESTA,
 ) -> BaselineArtifacts:
     """Train on the untouched training set and evaluate on the eval half."""
-    rng = RngStream(cfg.seed)
-    model = train(cfg, train_set, val_set, rng.child("train", "initial"))
-    accuracy, loss = evaluate(model.params, test_b)
-    report = ExperimentReport(
-        mode="baseline",
-        alpha_threshold=None,
-        selected_count=0,
-        augmented_count=0,
-        train_size_final=len(train_set),
-        accuracy=accuracy,
-        loss=loss,
-        seed=cfg.seed,
-        best_epoch=model.best_epoch,
-        config=_config_snapshot(cfg, None, val_mode),
-    )
-    return BaselineArtifacts(report, model)
-
-
-def run_selective(
-    cfg: TrainConfig,
-    train_set: Dataset,
-    test_a: Dataset,
-    test_b: Dataset,
-    threshold: float,
-    fraction: float = DEFAULT_WINDOW_FRACTION,
-) -> ExperimentReport:
-    return run_selective_detailed(cfg, train_set, test_a, test_b, threshold, fraction).report
+    model = train(cfg, train_set, val_set, RngStream(cfg.seed).child("train", "initial"))
+    return BaselineArtifacts(_report(cfg, model, len(train_set), test_b, val_mode), model)
 
 
 def run_selective_detailed(
@@ -222,8 +215,7 @@ def run_selective_detailed(
     step-1 model bit for bit.  The retrain draws from a fresh stream
     ("from scratch", not warm-started).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ParameterError(f"threshold must lie in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     rng = RngStream(cfg.seed)
     train_used, val_set = resolve_validation(train_set, test_a, val_mode)
 
@@ -240,19 +232,8 @@ def run_selective_detailed(
     else:
         expanded = train_used
     final = train(cfg, expanded, val_set, rng.child("train", "retrain"))
-    accuracy, loss = evaluate(final.params, test_b)
-
-    report = ExperimentReport(
-        mode="selective",
-        alpha_threshold=threshold,
-        selected_count=len(selection.indices),
-        augmented_count=len(augmented),
-        train_size_final=len(expanded),
-        accuracy=accuracy,
-        loss=loss,
-        seed=cfg.seed,
-        best_epoch=final.best_epoch,
-        config=_config_snapshot(cfg, fraction, val_mode),
+    report = _report(
+        cfg, final, len(expanded), test_b, val_mode, selection, len(augmented), fraction
     )
     return SelectiveArtifacts(report, initial, final, selection, augmented, expanded)
 
@@ -267,27 +248,15 @@ def run_experiment_pair(
     """Baseline and selective reports sharing one initial training.
 
     Because the baseline and the selective step-1 training are driven by the
-    same stream, the baseline report here is identical to an independent
-    :func:`run_baseline` at the same seed; this just avoids training the
-    same model twice.
+    same stream, the baseline report here is identical to the one from an
+    independent :func:`run_baseline_detailed` at the same seed; this just
+    avoids training the same model twice.
     """
     artifacts = run_selective_detailed(
         cfg, splits.train, splits.test_a, splits.test_b, threshold, fraction, val_mode
     )
     train_used, _ = resolve_validation(splits.train, splits.test_a, val_mode)
-    accuracy, loss = evaluate(artifacts.initial_model.params, splits.test_b)
-    baseline = ExperimentReport(
-        mode="baseline",
-        alpha_threshold=None,
-        selected_count=0,
-        augmented_count=0,
-        train_size_final=len(train_used),
-        accuracy=accuracy,
-        loss=loss,
-        seed=cfg.seed,
-        best_epoch=artifacts.initial_model.best_epoch,
-        config=_config_snapshot(cfg, None, val_mode),
-    )
+    baseline = _report(cfg, artifacts.initial_model, len(train_used), splits.test_b, val_mode)
     return baseline, artifacts.report
 
 
@@ -306,14 +275,12 @@ def sweep(
     if not thresholds:
         raise ParameterError("at least one threshold is required")
     for t in thresholds:
-        if not 0.0 <= t <= 1.0:
-            raise ParameterError(f"threshold must lie in [0, 1], got {t}")
-    reports = []
+        _check_threshold(t)
     base_cfg = replace(cfg, seed=derive_seed(cfg.seed, "baseline"))
     train_used, val_set = resolve_validation(splits.train, splits.test_a, val_mode)
-    reports.append(
+    reports = [
         run_baseline_detailed(base_cfg, train_used, splits.test_b, val_set, val_mode).report
-    )
+    ]
     for i, threshold in enumerate(thresholds):
         row_cfg = replace(cfg, seed=derive_seed(cfg.seed, "threshold", i))
         reports.append(

@@ -9,7 +9,7 @@ so a (config, data, seed) triple fully determines the result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
 from .nn_engine import (
     INFER,
     TRAIN,
-    ConvBlockParams,
     FcnConfig,
     FcnParams,
     fcn_backward,
@@ -33,6 +32,7 @@ from .nn_engine import (
     init_params,
     softmax_batch,
     xent_loss,
+    zeros_params,
 )
 from .rng import RngStream
 
@@ -163,6 +163,11 @@ def batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
 
 def infer_logits(params: FcnParams, values: np.ndarray) -> np.ndarray:
     """Infer-mode logits for an (N, L) value matrix, in blocks of INFER_BLOCK rows."""
+    if values.shape[1] != params.config.series_len:
+        raise ShapeError(
+            f"series length {values.shape[1]} does not match the model's "
+            f"{params.config.series_len}"
+        )
     out = []
     for start in range(0, values.shape[0], INFER_BLOCK):
         x = values[start : start + INFER_BLOCK][:, :, None]
@@ -177,11 +182,6 @@ def evaluate(params: FcnParams, data: Dataset) -> tuple[float, float]:
     Prediction is the argmax of the class probabilities with ties broken
     toward class 0.
     """
-    if data.series_len != params.config.series_len:
-        raise ShapeError(
-            f"dataset series length {data.series_len} does not match the model's "
-            f"{params.config.series_len}"
-        )
     logits = infer_logits(params, data.values_matrix())
     labels = data.labels_array()
     loss, _ = xent_loss(logits, labels)
@@ -264,15 +264,9 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     Floats are serialized with shortest-roundtrip formatting, so loading
     reproduces every tensor bit-identically.
     """
-    config = model.params.config
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": {
-            "series_len": config.series_len,
-            "class_count": config.class_count,
-            "filters": config.filters,
-            "kernel": config.kernel,
-        },
+        "config": asdict(model.params.config),
         "best_epoch": model.best_epoch,
         "best_val_loss": model.best_val_loss,
         "history": [[h.train_loss, h.val_loss, h.lr] for h in model.history],
@@ -299,51 +293,23 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             f"expected version {CHECKPOINT_FORMAT_VERSION}"
         )
     try:
-        cfg = doc["config"]
-        config = FcnConfig(
-            series_len=int(cfg["series_len"]),
-            class_count=int(cfg["class_count"]),
-            filters=int(cfg["filters"]),
-            kernel=int(cfg["kernel"]),
-        )
-        tensors = doc["tensors"]
-        blocks = []
-        for i, cin in enumerate(config.block_in_channels(), start=1):
-            blocks.append(
-                ConvBlockParams(
-                    weights=_tensor(tensors, f"block{i}/conv_weights",
-                                    (config.kernel, cin, config.filters)),
-                    bias=_tensor(tensors, f"block{i}/conv_bias", (config.filters,)),
-                    gamma=_tensor(tensors, f"block{i}/bn_gamma", (config.filters,)),
-                    beta=_tensor(tensors, f"block{i}/bn_beta", (config.filters,)),
-                    running_mean=_tensor(tensors, f"block{i}/bn_running_mean",
-                                         (config.filters,)),
-                    running_var=_tensor(tensors, f"block{i}/bn_running_var",
-                                        (config.filters,)),
+        config = FcnConfig(**{f.name: int(doc["config"][f.name]) for f in fields(FcnConfig)})
+        params = zeros_params(config)
+        for name, tensor in params.all_tensors():
+            entry = doc["tensors"][name]
+            if tuple(entry["shape"]) != tensor.shape:
+                raise CheckpointError(
+                    f"tensor {name} has shape {entry['shape']}, expected {tensor.shape}"
                 )
-            )
-        params = FcnParams(
-            config,
-            blocks,
-            _tensor(tensors, "dense/weights", (config.filters, config.class_count)),
-            _tensor(tensors, "dense/bias", (config.class_count,)),
-        )
+            tensor[...] = np.array(entry["values"], dtype=np.float64).reshape(tensor.shape)
+            if not np.all(np.isfinite(tensor)):
+                raise CheckpointError(f"tensor {name} contains non-finite values")
         history = [EpochStats(float(t), float(v), float(lr)) for t, v, lr in doc["history"]]
         return TrainedModel(
             params, int(doc["best_epoch"]), float(doc["best_val_loss"]), history
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise CheckpointError(f"inconsistent checkpoint {path}: {exc}") from None
-
-
-def _tensor(tensors: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    entry = tensors[name]
-    if tuple(entry["shape"]) != shape:
-        raise CheckpointError(f"tensor {name} has shape {entry['shape']}, expected {shape}")
-    arr = np.array(entry["values"], dtype=np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise CheckpointError(f"tensor {name} contains non-finite values")
-    return arr
 
 
 def history_csv(model: TrainedModel) -> str:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import fcnaug
 from fcnaug.augmentation import (
     augment_sample,
-    enumerate_slices,
     slice_window,
     spline_resample,
     window_length,
@@ -60,27 +59,6 @@ class TestSliceWindow:
         a = slice_window(series, 0.7, RngStream(42, "w"))
         b = slice_window(series, 0.7, RngStream(42, "w"))
         assert a.start == b.start
-
-
-class TestEnumerateSlices:
-    def test_count_and_order(self):
-        slices = enumerate_slices(np.arange(5.0), 3)
-        assert [w.start for w in slices] == [0, 1, 2]
-        np.testing.assert_array_equal(slices[1].values, [1.0, 2.0, 3.0])
-
-    def test_full_length_single_slice(self):
-        series = np.arange(6.0)
-        slices = enumerate_slices(series, 6)
-        assert len(slices) == 1
-        np.testing.assert_array_equal(slices[0].values, series)
-
-    def test_ecg200_slice_count(self):
-        assert len(enumerate_slices(np.zeros(96), 67)) == 30
-
-    @pytest.mark.parametrize("s", [0, 7])
-    def test_out_of_range(self, s):
-        with pytest.raises(ParameterError):
-            enumerate_slices(np.arange(6.0), s)
 
 
 class TestSplineResample:

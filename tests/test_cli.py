@@ -83,6 +83,25 @@ class TestBaselineCommand:
         assert code == 2
         assert "odd.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("val", ["bogus", "holdout:0.001"])
+    def test_bad_validation_mode_exits_2(self, data_files, tmp_path, capsys, val):
+        train, test = data_files
+        code = run_cli("baseline", "--train", train, "--test", test,
+                       "--val", val, "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_out_under_a_file_exits_1(self, data_files, tmp_path, capsys):
+        train, test = data_files
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run_cli("baseline", "--train", train, "--test", test,
+                       "--epochs", 1, "--out", blocker / "runs")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_flag_usage_error(self, data_files):
         train, test = data_files
         with pytest.raises(SystemExit) as exc:
@@ -170,6 +189,13 @@ class TestSweepCommand:
                        "--alphas", "nope", "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
 
+    def test_alpha_out_of_range_exits_2(self, data_files, tmp_path, capsys):
+        train, test = data_files
+        code = run_cli("sweep", "--train", train, "--test", test,
+                       "--alphas", "0.5,1.2", "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def checkpoint(data_files, tmp_path_factory):
@@ -211,6 +237,13 @@ class TestAugmentCommand:
         assert code == 0
         assert (out / "augment.augmented.tsv").read_text() == ""
         assert "warning" in capsys.readouterr().err.lower()
+
+    def test_alpha_out_of_range_exits_2(self, checkpoint, data_files, tmp_path, capsys):
+        _, test = data_files
+        code = run_cli("augment", "--checkpoint", checkpoint, "--probe", test,
+                       "--alpha", -0.5, "--out", tmp_path / "o")
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, data_files, tmp_path):
         _, test = data_files
@@ -273,3 +306,31 @@ class TestConfigFile:
         code = run_cli("baseline", "--train", train, "--test", test,
                        "--config", tmp_path / "none.json", "--out", tmp_path / "o")
         assert code == 2
+
+    @pytest.mark.parametrize("values", [
+        {"seed": "abc"},
+        {"fraction": "x"},
+        {"format": "xml"},
+        {"epochs": 2.5},
+        {"batch_size": True},
+        {"val": 3},
+        {"out": ["runs"]},
+    ])
+    def test_bad_value_exits_2(self, data_files, tmp_path, capsys, values):
+        train, test = data_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 1, "out": str(tmp_path / "o"), **values}))
+        code = run_cli("baseline", "--train", train, "--test", test, "--config", config)
+        assert code == 2
+        assert next(iter(values)) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_fraction_accepted(self, data_files, tmp_path):
+        train, test = data_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fraction": 1}))
+        out = tmp_path / "runs"
+        code = run_cli("selective", "--train", train, "--test", test, "--alpha", 0.5,
+                       "--config", config, "--epochs", 1, "--out", out)
+        assert code == 0
+        assert read_json(out / "selective.report.json")["config"]["window_fraction"] == 1.0

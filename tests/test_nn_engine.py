@@ -372,7 +372,7 @@ class TestFcnNetwork:
         # (3*1*64 + 64 + 2*64) + 2*(3*64*64 + 64 + 2*64) + (64*2 + 2)
         expected = (3 * 1 * 64 + 64 + 128) + 2 * (3 * 64 * 64 + 64 + 128) + (64 * 2 + 2)
         assert expected == 25474
-        assert params.learnable_count() == 25474
+        assert sum(t.size for _, t in params.learnables()) == 25474
 
     def test_zero_params_give_uniform_prediction(self, small_config):
         params = zeros_params(small_config)

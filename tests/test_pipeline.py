@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from fcnaug import pipeline
 from fcnaug.data_io import split_test
 from fcnaug.errors import ParameterError
 from fcnaug.nn_engine import FcnConfig, init_params, softmax
@@ -12,10 +13,8 @@ from fcnaug.pipeline import (
     confidence_alpha,
     predict_alphas,
     resolve_validation,
-    run_baseline,
     run_baseline_detailed,
     run_experiment_pair,
-    run_selective,
     run_selective_detailed,
     select_low_confidence,
     sweep,
@@ -35,6 +34,16 @@ def splits():
 
 
 FAST = TrainConfig(epochs=3, batch_size=8, seed=42)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Make any training in the pipeline fail loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(pipeline, "train", refuse)
 
 
 class TestConfidenceAlpha:
@@ -106,7 +115,9 @@ class TestSelection:
 
 class TestBaseline:
     def test_report_shape(self, splits):
-        report = run_baseline(FAST, splits.train, splits.test_b, splits.test_a)
+        report = run_baseline_detailed(
+            FAST, splits.train, splits.test_b, splits.test_a
+        ).report
         assert report.mode == "baseline"
         assert report.alpha_threshold is None
         assert report.selected_count == report.augmented_count == 0
@@ -115,9 +126,14 @@ class TestBaseline:
         assert report.seed == FAST.seed
         assert report.config["epochs"] == FAST.epochs
 
+    def test_config_snapshot(self, splits):
+        report = run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a).report
+        assert report.config["window_fraction"] is None
+        assert report.config["val_mode"] == "testa"
+
     def test_deterministic(self, splits):
-        a = run_baseline(FAST, splits.train, splits.test_b, splits.test_a)
-        b = run_baseline(FAST, splits.train, splits.test_b, splits.test_a)
+        a = run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a).report
+        b = run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a).report
         assert asdict(a) == asdict(b)
 
 
@@ -153,18 +169,26 @@ class TestSelective:
         assert artifacts.expanded_train.samples[n:] == tuple(artifacts.augmented)
 
     def test_threshold_zero_degenerates_to_retrained_baseline(self, splits):
-        report = run_selective(FAST, splits.train, splits.test_a, splits.test_b, 0.0)
+        report = run_selective_detailed(
+            FAST, splits.train, splits.test_a, splits.test_b, 0.0
+        ).report
         assert report.selected_count == 0
         assert report.augmented_count == 0
         assert report.train_size_final == len(splits.train)
 
-    def test_threshold_out_of_range(self, splits):
-        with pytest.raises(ParameterError):
-            run_selective(FAST, splits.train, splits.test_a, splits.test_b, -0.1)
+    def test_threshold_out_of_range(self, splits, no_training):
+        with pytest.raises(ParameterError, match="alpha"):
+            run_selective_detailed(
+                FAST, splits.train, splits.test_a, splits.test_b, -0.1
+            ).report
 
     def test_full_determinism(self, splits):
-        a = run_selective(FAST, splits.train, splits.test_a, splits.test_b, 0.8)
-        b = run_selective(FAST, splits.train, splits.test_a, splits.test_b, 0.8)
+        a = run_selective_detailed(
+            FAST, splits.train, splits.test_a, splits.test_b, 0.8
+        ).report
+        b = run_selective_detailed(
+            FAST, splits.train, splits.test_a, splits.test_b, 0.8
+        ).report
         assert asdict(a) == asdict(b)
 
     def test_initial_model_shared_with_baseline(self, splits):
@@ -182,10 +206,20 @@ class TestSelective:
 class TestExperimentPair:
     def test_matches_independent_runs(self, splits):
         pair_base, pair_sel = run_experiment_pair(FAST, splits, threshold=0.9)
-        solo_base = run_baseline(FAST, splits.train, splits.test_b, splits.test_a)
-        solo_sel = run_selective(FAST, splits.train, splits.test_a, splits.test_b, 0.9)
+        solo_base = run_baseline_detailed(
+            FAST, splits.train, splits.test_b, splits.test_a
+        ).report
+        solo_sel = run_selective_detailed(
+            FAST, splits.train, splits.test_a, splits.test_b, 0.9
+        ).report
         assert asdict(pair_base) == asdict(solo_base)
         assert asdict(pair_sel) == asdict(solo_sel)
+
+    def test_config_snapshots(self, splits):
+        base, sel = run_experiment_pair(FAST, splits, 0.9, 0.8, "holdout:0.25")
+        assert base.config["window_fraction"] is None
+        assert sel.config["window_fraction"] == 0.8
+        assert base.config["val_mode"] == sel.config["val_mode"] == "holdout:0.25"
 
 
 class TestSweep:
@@ -203,9 +237,14 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(FAST, splits, [])
 
-    def test_bad_threshold_rejected(self, splits):
-        with pytest.raises(ParameterError):
+    def test_bad_threshold_rejected(self, splits, no_training):
+        with pytest.raises(ParameterError, match="alpha"):
             sweep(FAST, splits, [0.5, 1.2])
+
+    def test_config_snapshots(self, splits):
+        reports = sweep(FAST, splits, [0.4], 0.8, "holdout:0.25")
+        assert [r.config["window_fraction"] for r in reports] == [None, 0.8]
+        assert [r.config["val_mode"] for r in reports] == ["holdout:0.25"] * 2
 
     def test_deterministic(self, splits):
         a = sweep(FAST, splits, [0.6])

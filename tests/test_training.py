@@ -12,7 +12,7 @@ from fcnaug.errors import (
     ShapeError,
     UnsupportedLabelError,
 )
-from fcnaug.nn_engine import FcnConfig, FcnGrads, init_params, zeros_params
+from fcnaug.nn_engine import FcnConfig, init_params, zeros_params
 from fcnaug.rng import RngStream
 from fcnaug.training import (
     ADAM_EPS,
@@ -68,13 +68,13 @@ class TestTrainConfig:
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = _ScalarParams(1.5)
-        adam_step(AdamState(), params, FcnGrads({"theta": np.zeros(1)}), lr=1e-3)
+        adam_step(AdamState(), params, {"theta": np.zeros(1)}, lr=1e-3)
         assert params.theta[0] == 1.5
 
     def test_first_step_is_signed_lr(self):
         for g in (0.37, -2.4, 1e-6):
             params = _ScalarParams(0.0)
-            adam_step(AdamState(), params, FcnGrads({"theta": np.array([g])}), lr=1e-3)
+            adam_step(AdamState(), params, {"theta": np.array([g])}, lr=1e-3)
             expected = -1e-3 * g / (abs(g) + ADAM_EPS)
             assert params.theta[0] == pytest.approx(expected, abs=1e-15)
 
@@ -86,7 +86,7 @@ class TestAdam:
         params = _ScalarParams(0.2)
         state = AdamState()
         for g in grads:
-            adam_step(state, params, FcnGrads({"theta": np.array([g])}), lr)
+            adam_step(state, params, {"theta": np.array([g])}, lr)
 
         # plain-float reference recurrence
         theta, m, v = 0.2, 0.0, 0.0
@@ -101,7 +101,7 @@ class TestAdam:
     def test_non_finite_gradient_names_group(self):
         params = _ScalarParams(0.0)
         with pytest.raises(NumericError, match="theta"):
-            adam_step(AdamState(), params, FcnGrads({"theta": np.array([np.nan])}), 1e-3)
+            adam_step(AdamState(), params, {"theta": np.array([np.nan])}, 1e-3)
 
 
 class TestPlateau:
@@ -297,6 +297,15 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         doc = json.loads(path.read_text())
         doc["tensors"]["dense/bias"]["values"] = [0.0, 0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_config_tampering_detected(self, model, tmp_path):
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["kernel"] = 4  # FcnConfig rejects an even kernel
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
