@@ -34,10 +34,15 @@ class WindowSlice:
     values: np.ndarray
 
 
-def window_length(n: int, fraction: float) -> int:
-    """Slice length for a series of length n: floor(fraction * n)."""
+def check_window_fraction(fraction: float) -> None:
+    """Reject a window fraction outside (0, 1]."""
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"window fraction must be in (0, 1], got {fraction}")
+
+
+def window_length(n: int, fraction: float) -> int:
+    """Slice length for a series of length n: floor(fraction * n)."""
+    check_window_fraction(fraction)
     return math.floor(fraction * n)
 
 

@@ -1,9 +1,13 @@
 """Command-line entry points: baseline, selective, sweep, augment, evaluate.
 
-Exit codes: 0 success; 2 usage or input validation (bad flags, config
-values or input files, and every out-of-range parameter); 1 runtime failure
-(training, checkpoint and file-system errors).  Flag values override an
-optional JSON config file, which overrides built-in defaults.
+Flag values override an optional JSON config file, which overrides
+:data:`DEFAULTS`, the one option table (training defaults come from
+``TrainConfig``); a config key outside it exits 2.  Options are checked before
+any input is read, and training commands create ``--out`` before training.
+
+Exit codes: 0 success; 2 usage or input validation (bad flags, config keys
+or values, input files, and every out-of-range parameter); 1 runtime failure
+(training, checkpoint and file-system errors).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .augmentation import DEFAULT_WINDOW_FRACTION
+from .augmentation import DEFAULT_WINDOW_FRACTION, check_window_fraction
 from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test
 from .errors import (
     DataFormatError,
@@ -34,6 +38,7 @@ from .pipeline import (
 )
 from .report import (
     curve_csv,
+    curve_points,
     report_csv,
     report_document,
     svg_line_chart,
@@ -43,14 +48,14 @@ from .report import (
 from .rng import RngStream
 from .training import TrainConfig, evaluate, history_csv, load_checkpoint, save_checkpoint
 
+TRAIN_KEYS = ("seed", "epochs", "batch_size")
+FORMATS = ("json", "csv")
 DEFAULTS = {
-    "seed": 0,
-    "epochs": 500,
-    "batch_size": 32,
+    **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS},
     "fraction": DEFAULT_WINDOW_FRACTION,
     "val": VAL_TESTA,
     "out": "runs",
-    "format": "json",
+    "format": FORMATS[0],
 }
 
 
@@ -67,18 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, training: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
-        p.add_argument("--out", help="output directory (default runs/)")
-        p.add_argument("--format", choices=["json", "csv"],
-                       help="report format (default json; csv adds a CSV copy)")
+        p.add_argument("--seed", type=int, help=f"base seed (default {DEFAULTS['seed']})")
+        p.add_argument("--out", help=f"output directory (default {DEFAULTS['out']}/)")
+        p.add_argument("--format", choices=FORMATS, help=f"report format (default "
+                       f"{DEFAULTS['format']}; csv adds a CSV copy)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit timestamps so reruns are byte-identical")
         if training:
-            p.add_argument("--epochs", type=int, help="training epochs (default 500)")
+            p.add_argument("--epochs", type=int,
+                           help=f"training epochs (default {DEFAULTS['epochs']})")
             p.add_argument("--batch-size", type=int, dest="batch_size",
-                           help="batch size (default 32)")
-            p.add_argument("--val",
-                           help="validation set: testa or holdout:<fraction> (default testa)")
+                           help=f"batch size (default {DEFAULTS['batch_size']})")
+            p.add_argument("--val", help="validation set: testa or holdout:<fraction> "
+                                         f"(default {DEFAULTS['val']})")
 
     p = sub.add_parser("baseline", help="train on the raw training set and evaluate")
     p.add_argument("--train", required=True, help="UCR training file")
@@ -91,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--alpha", type=float, required=True,
                    help="confidence-margin threshold in [0, 1]")
-    p.add_argument("--fraction", type=float, help="window fraction (default 0.7)")
+    p.add_argument("--fraction", type=float,
+                   help=f"window fraction (default {DEFAULTS['fraction']})")
     common(p)
     p.set_defaults(func=cmd_selective)
 
@@ -150,6 +157,10 @@ def _resolve_options(args) -> dict:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise UsageError(f"config file {path} must contain a JSON object")
+        unknown = sorted(set(file_values) - DEFAULTS.keys())
+        if unknown:
+            raise UsageError(f"config file {path} has unknown keys {unknown}; "
+                             f"known keys are {list(DEFAULTS)}")
 
     opts = {}
     for name, default in DEFAULTS.items():
@@ -163,22 +174,23 @@ def _resolve_options(args) -> dict:
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise UsageError(f"{name} must be of type {kind.__name__}, got {value!r}")
         opts[name] = kind(value)
-    if opts["format"] not in ("json", "csv"):
-        raise UsageError(f"format must be json or csv, got {opts['format']!r}")
-    if not 0.0 < opts["fraction"] <= 1.0:
-        raise UsageError(f"--fraction must lie in (0, 1], got {opts['fraction']}")
+    if opts["format"] not in FORMATS:
+        raise UsageError(f"format must be one of {FORMATS}, got {opts['format']!r}")
+    check_window_fraction(opts["fraction"])
+    opts["train"] = TrainConfig(**{key: opts[key] for key in TRAIN_KEYS})
     opts["with_timestamp"] = not getattr(args, "no_timestamp", False)
     return opts
 
 
-def _train_config(opts) -> TrainConfig:
-    return TrainConfig(epochs=opts["epochs"], batch_size=opts["batch_size"], seed=opts["seed"])
-
-
-def _load_dataset(path_str: str) -> Dataset:
+def _existing(path_str: str) -> Path:
     path = Path(path_str)
     if not path.is_file():
         raise UsageError(f"file not found: {path}")
+    return path
+
+
+def _load_dataset(path_str: str) -> Dataset:
+    path = _existing(path_str)
     try:
         return remap_labels(load_ucr_file(path))
     except (DataFormatError, UnsupportedLabelError) as exc:
@@ -222,6 +234,14 @@ def _outdir(opts) -> Path:
     return out
 
 
+def _write_report(out: Path, report, opts) -> None:
+    """``<mode>.report.json``, plus ``<mode>.report.csv`` under ``--format csv``."""
+    write_json(out / f"{report.mode}.report.json",
+               report_document(report, opts["with_timestamp"]))
+    if opts["format"] == "csv":
+        (out / f"{report.mode}.report.csv").write_text(report_csv(report))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -229,15 +249,11 @@ def _outdir(opts) -> Path:
 
 def cmd_baseline(args) -> int:
     opts = _resolve_options(args)
-    cfg = _train_config(opts)
     train_ds, test_a, test_b = _load_split(args)
     train_used, val_set = resolve_validation(train_ds, test_a, opts["val"])
-    artifacts = run_baseline_detailed(cfg, train_used, test_b, val_set, opts["val"])
     out = _outdir(opts)
-    write_json(out / "baseline.report.json",
-               report_document(artifacts.report, opts["with_timestamp"]))
-    if opts["format"] == "csv":
-        (out / "baseline.report.csv").write_text(report_csv(artifacts.report))
+    artifacts = run_baseline_detailed(opts["train"], train_used, test_b, val_set, opts["val"])
+    _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.model, out / "baseline.ckpt.json")
     (out / "baseline.history.csv").write_text(history_csv(artifacts.model))
     r = artifacts.report
@@ -248,16 +264,12 @@ def cmd_baseline(args) -> int:
 
 def cmd_selective(args) -> int:
     opts = _resolve_options(args)
-    cfg = _train_config(opts)
     train_ds, test_a, test_b = _load_split(args)
-    artifacts = run_selective_detailed(
-        cfg, train_ds, test_a, test_b, args.alpha, opts["fraction"], opts["val"]
-    )
     out = _outdir(opts)
-    write_json(out / "selective.report.json",
-               report_document(artifacts.report, opts["with_timestamp"]))
-    if opts["format"] == "csv":
-        (out / "selective.report.csv").write_text(report_csv(artifacts.report))
+    artifacts = run_selective_detailed(
+        opts["train"], train_ds, test_a, test_b, args.alpha, opts["fraction"], opts["val"]
+    )
+    _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.initial_model, out / "selective.initial.ckpt.json")
     save_checkpoint(artifacts.final_model, out / "selective.final.ckpt.json")
     (out / "selective.train_expanded.tsv").write_text(
@@ -271,36 +283,26 @@ def cmd_selective(args) -> int:
 
 def cmd_sweep(args) -> int:
     opts = _resolve_options(args)
-    cfg = _train_config(opts)
     thresholds = _parse_alphas(args.alphas)
-    train_ds, test_a, test_b = _load_split(args)
-    splits = DataSplits(train_ds, test_a, test_b)
-    reports = sweep(cfg, splits, thresholds, opts["fraction"], opts["val"])
+    splits = DataSplits(*_load_split(args))
     out = _outdir(opts)
+    reports = sweep(opts["train"], splits, thresholds, opts["fraction"], opts["val"])
     write_json(out / "sweep.reports.json",
                [report_document(r, opts["with_timestamp"]) for r in reports])
     table = sweep_table_csv(reports)
     (out / "sweep.table.csv").write_text(table)
-    (out / "sweep.accuracy.csv").write_text(curve_csv(reports, "accuracy"))
-    (out / "sweep.loss.csv").write_text(curve_csv(reports, "loss"))
-    selective = [r for r in reports if r.mode == "selective"]
-    xs = [float(r.alpha_threshold) for r in selective]
-    (out / "sweep.accuracy.svg").write_text(
-        svg_line_chart(xs, [r.accuracy for r in selective],
-                       "Accuracy by confidence threshold", "alpha threshold", "accuracy"))
-    (out / "sweep.loss.svg").write_text(
-        svg_line_chart(xs, [r.loss for r in selective],
-                       "Loss by confidence threshold", "alpha threshold", "loss"))
+    for metric in ("accuracy", "loss"):
+        (out / f"sweep.{metric}.csv").write_text(curve_csv(reports, metric))
+        xs, ys = zip(*curve_points(reports, metric))
+        (out / f"sweep.{metric}.svg").write_text(svg_line_chart(
+            xs, ys, f"{metric.capitalize()} by confidence threshold", "alpha threshold", metric))
     print(table, end="")
     return 0
 
 
 def cmd_augment(args) -> int:
     opts = _resolve_options(args)
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.is_file():
-        raise UsageError(f"file not found: {ckpt_path}")
-    model = load_checkpoint(ckpt_path)
+    model = load_checkpoint(_existing(args.checkpoint))
     probe = _load_dataset(args.probe)
     selection = select_low_confidence(model.params, probe, args.alpha)
     augmented = augment_selected(probe, selection, opts["fraction"], RngStream(opts["seed"]))
@@ -326,10 +328,7 @@ def cmd_augment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     opts = _resolve_options(args)
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.is_file():
-        raise UsageError(f"file not found: {ckpt_path}")
-    model = load_checkpoint(ckpt_path)
+    model = load_checkpoint(_existing(args.checkpoint))
     data = _load_dataset(args.data)
     accuracy, loss = evaluate(model.params, data)
     if opts["format"] == "json":

@@ -3,7 +3,8 @@
 The on-disk format is one sample per line: an integer class label followed
 by the series values, separated by tabs, commas, or runs of spaces.  Labels
 -1/1 (the raw ECG200 convention) are remapped to 0/1 by
-:func:`remap_labels` before anything downstream sees them.
+:func:`remap_labels` before anything downstream sees them; 0/1 is the only
+other accepted convention.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ class Dataset:
                 class_count = len(set(labels))
         return cls(samples, samples[0].values.shape[0], class_count)
 
-    @classmethod
-    def from_arrays(cls, values: np.ndarray, labels, class_count: int | None = None) -> "Dataset":
-        values = np.asarray(values, dtype=np.float64)
-        samples = [TimeSeriesSample(row, int(lab)) for row, lab in zip(values, labels)]
-        return cls.from_samples(samples, class_count)
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -120,19 +115,6 @@ class Dataset:
         """Samples at the given positions, keeping this dataset's class_count."""
         picked = tuple(self.samples[i] for i in indices)
         return Dataset(picked, self.series_len, self.class_count)
-
-    def equals(self, other: "Dataset") -> bool:
-        """Exact equality: metadata, order, labels, and bit-identical values."""
-        if (
-            len(self) != len(other)
-            or self.series_len != other.series_len
-            or self.class_count != other.class_count
-        ):
-            return False
-        return all(
-            a.label == b.label and np.array_equal(a.values, b.values)
-            for a, b in zip(self.samples, other.samples)
-        )
 
 
 def parse_ucr(text: str) -> Dataset:
@@ -192,14 +174,18 @@ def load_ucr_file(path: str | Path) -> Dataset:
 def remap_labels(dataset: Dataset) -> Dataset:
     """Map raw labels -1 -> 0 and 1 -> 1; idempotent on {0, 1} labels.
 
-    A file uses one convention, -1/1 or 0/1: labels -1 and 0 together would
-    fall into one class, so they raise :class:`UnsupportedLabelError`.
+    A file uses one convention, -1/1 or 0/1.  Any other label, such as the
+    2 of UCR's common 1/2 convention, raises :class:`UnsupportedLabelError`,
+    and so do labels -1 and 0 together, which would fall into one class.
     """
     mapping = {-1: 0, 0: 0, 1: 1}
     remapped = []
     for i, s in enumerate(dataset.samples):
         if s.label not in mapping:
-            raise UnsupportedLabelError(f"sample {i + 1} has unsupported label {s.label}")
+            raise UnsupportedLabelError(
+                f"sample {i + 1} has unsupported label {s.label}; "
+                "the accepted label conventions are -1/1 and 0/1"
+            )
         remapped.append(TimeSeriesSample(s.values, mapping[s.label], s.degenerate))
     labels = {s.label for s in dataset.samples}
     if {-1, 0} <= labels:

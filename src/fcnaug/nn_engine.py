@@ -254,13 +254,12 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     mode: str,
-    eps: float = BN_EPS,
-    momentum: float = BN_MOMENTUM,
 ):
     """Per-channel normalization over the batch and time axes.
 
     Train mode normalizes by biased batch statistics and returns updated
-    running stats (running_new = momentum * running_old + (1-momentum) * batch).
+    running stats (running_new = BN_MOMENTUM * running_old
+    + (1 - BN_MOMENTUM) * batch).
     Infer mode normalizes by the running statistics unchanged.
 
     Returns (out, cache, new_running_mean, new_running_var); the cache is
@@ -270,10 +269,10 @@ def batchnorm_forward(
     if x.ndim != 3 or x.shape[2] != gamma.shape[0]:
         raise ShapeError("batchnorm expects x (B, L, C) matching gamma/beta length")
     if mode == INFER:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         out = gamma * (x - running_mean) * inv_std + beta
         return out, None, running_mean, running_var
-    return _batchnorm_train(x, gamma, beta, running_mean, running_var, eps, momentum)
+    return _batchnorm_train(x, gamma, beta, running_mean, running_var)
 
 
 def _batchnorm_train(
@@ -282,8 +281,6 @@ def _batchnorm_train(
     beta: np.ndarray,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    eps: float = BN_EPS,
-    momentum: float = BN_MOMENTUM,
     out: np.ndarray | None = None,
 ):
     """Train-mode :func:`batchnorm_forward`, writing into ``out`` (x itself is allowed)."""
@@ -297,12 +294,12 @@ def _batchnorm_train(
     if out is None:
         out = np.empty_like(xhat)
     var = np.multiply(xhat, xhat, out=out).sum(axis=(0, 1)) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     np.multiply(xhat, gamma, out=out)
     out += beta
-    new_mean = momentum * running_mean + (1.0 - momentum) * mean
-    new_var = momentum * running_var + (1.0 - momentum) * var
+    new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+    new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     cache = (xhat, inv_std, gamma)
     return out, cache, new_mean, new_var
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample
+from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample, check_window_fraction
 from .data_io import Dataset, TimeSeriesSample
 from .errors import ParameterError
 from .nn_engine import FcnParams, PredictionDist, softmax_batch
@@ -216,6 +216,7 @@ def run_selective_detailed(
     ("from scratch", not warm-started).
     """
     _check_threshold(threshold)
+    check_window_fraction(fraction)
     rng = RngStream(cfg.seed)
     train_used, val_set = resolve_validation(train_set, test_a, val_mode)
 
@@ -276,6 +277,7 @@ def sweep(
         raise ParameterError("at least one threshold is required")
     for t in thresholds:
         _check_threshold(t)
+    check_window_fraction(fraction)
     base_cfg = replace(cfg, seed=derive_seed(cfg.seed, "baseline"))
     train_used, val_set = resolve_validation(splits.train, splits.test_a, val_mode)
     reports = [

@@ -85,13 +85,15 @@ def sweep_table_csv(reports: list[ExperimentReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def curve_points(reports: list[ExperimentReport], metric: str) -> list[tuple[float, float]]:
+    """(alpha, accuracy or loss) for the selective rows only, in sweep order."""
+    return [(float(r.alpha_threshold), getattr(r, metric))
+            for r in reports if r.mode == "selective"]
+
+
 def curve_csv(reports: list[ExperimentReport], metric: str) -> str:
-    """alpha vs. accuracy or loss for the selective rows only."""
-    lines = [f"alpha,{metric}"]
-    for r in reports:
-        if r.mode != "selective":
-            continue
-        lines.append(f"{float(r.alpha_threshold)!r},{getattr(r, metric)!r}")
+    """The :func:`curve_points` as an ``alpha,<metric>`` CSV."""
+    lines = [f"alpha,{metric}"] + [f"{a!r},{v!r}" for a, v in curve_points(reports, metric)]
     return "\n".join(lines) + "\n"
 
 

@@ -80,9 +80,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def adam_step(state: AdamState, params: FcnParams, grads, lr: float):
     """
     state.t += 1
     t = state.t
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, theta in params.learnables():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -135,7 +132,7 @@ def adam_step(state: AdamState, params: FcnParams, grads, lr: float):
         v += (1.0 - b2) * np.square(g)
         mhat = m / (1.0 - b1**t)
         vhat = v / (1.0 - b2**t)
-        theta -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state, params
 
 

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from fcnaug import pipeline
 from fcnaug.data_io import load_ucr_file, remap_labels, split_test
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +35,13 @@ def ecg200(ecg200_paths):
     test = remap_labels(load_ucr_file(test_path))
     test_a, test_b = split_test(test)
     return train, test_a, test_b
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Make any training in the pipeline fail loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(pipeline, "train", refuse)

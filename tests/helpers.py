@@ -1,4 +1,4 @@
-"""Shared test utilities: synthetic data and finite-difference checking."""
+"""Shared test utilities: datasets, synthetic data and finite-difference checking."""
 
 from __future__ import annotations
 
@@ -10,6 +10,23 @@ from fcnaug.nn_engine import TRAIN, FcnParams, fcn_backward, fcn_forward, xent_l
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-4
 FD_ABS_FLOOR = 1e-9
+
+
+def dataset_from_arrays(values, labels, class_count: int | None = None) -> Dataset:
+    """A dataset with one sample per row of ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    samples = [TimeSeriesSample(row, int(lab)) for row, lab in zip(values, labels)]
+    return Dataset.from_samples(samples, class_count)
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    """Exact equality: metadata, order, labels, and bit-identical values."""
+    if (len(a), a.series_len, a.class_count) != (len(b), b.series_len, b.class_count):
+        return False
+    return all(
+        s.label == t.label and np.array_equal(s.values, t.values)
+        for s, t in zip(a.samples, b.samples)
+    )
 
 
 def make_synthetic(n_per_class: int = 10, length: int = 24, seed: int = 0) -> Dataset:

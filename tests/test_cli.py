@@ -31,6 +31,16 @@ def read_json(path: Path):
     return json.loads(path.read_text())
 
 
+def assert_out_under_a_file_exits_1(tmp_path, capsys, *argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli(*argv, "--epochs", 1, "--out", blocker / "runs")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert "Traceback" not in err
+
+
 class TestBaselineCommand:
     def test_smoke_run_writes_artifacts(self, data_files, tmp_path, capsys):
         train, test = data_files
@@ -92,15 +102,20 @@ class TestBaselineCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
-    def test_out_under_a_file_exits_1(self, data_files, tmp_path, capsys):
-        train, test = data_files
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        code = run_cli("baseline", "--train", train, "--test", test,
-                       "--epochs", 1, "--out", blocker / "runs")
-        assert code == 1
+    def test_other_label_convention_exits_2(self, data_files, tmp_path, capsys):
+        _, test = data_files
+        one_two = tmp_path / "one_two.tsv"
+        one_two.write_text("1\t0.5\t1.5\n2\t1.0\t2.0\n")
+        code = run_cli("baseline", "--train", one_two, "--test", test,
+                       "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert "one_two.tsv" in err and "-1/1" in err and "0/1" in err
+
+    def test_out_under_a_file_exits_1(self, data_files, tmp_path, capsys, no_training):
+        train, test = data_files
+        assert_out_under_a_file_exits_1(tmp_path, capsys,
+                                        "baseline", "--train", train, "--test", test)
 
     def test_unknown_flag_usage_error(self, data_files):
         train, test = data_files
@@ -195,6 +210,11 @@ class TestSweepCommand:
                        "--alphas", "0.5,1.2", "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_out_under_a_file_exits_1(self, data_files, tmp_path, capsys, no_training):
+        train, test = data_files
+        assert_out_under_a_file_exits_1(tmp_path, capsys, "sweep", "--train", train,
+                                        "--test", test, "--alphas", "0.5")
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +343,15 @@ class TestConfigFile:
         code = run_cli("baseline", "--train", train, "--test", test, "--config", config)
         assert code == 2
         assert next(iter(values)) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_key_exits_2(self, data_files, tmp_path, capsys, no_training):
+        train, test = data_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epoch": 3, "out": str(tmp_path / "o")}))
+        code = run_cli("baseline", "--train", train, "--test", test, "--config", config)
+        assert code == 2
+        assert "'epoch'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_integer_fraction_accepted(self, data_files, tmp_path):

@@ -3,7 +3,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fcnaug import pipeline
 from fcnaug.data_io import split_test
 from fcnaug.errors import ParameterError
 from fcnaug.nn_engine import FcnConfig, init_params, softmax
@@ -34,16 +33,6 @@ def splits():
 
 
 FAST = TrainConfig(epochs=3, batch_size=8, seed=42)
-
-
-@pytest.fixture
-def no_training(monkeypatch):
-    """Make any training in the pipeline fail loudly."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(pipeline, "train", refuse)
 
 
 class TestConfidenceAlpha:
@@ -182,6 +171,12 @@ class TestSelective:
                 FAST, splits.train, splits.test_a, splits.test_b, -0.1
             ).report
 
+    def test_fraction_out_of_range(self, splits, no_training):
+        with pytest.raises(ParameterError, match="window fraction"):
+            run_selective_detailed(
+                FAST, splits.train, splits.test_a, splits.test_b, 0.5, fraction=1.5
+            )
+
     def test_full_determinism(self, splits):
         a = run_selective_detailed(
             FAST, splits.train, splits.test_a, splits.test_b, 0.8
@@ -240,6 +235,10 @@ class TestSweep:
     def test_bad_threshold_rejected(self, splits, no_training):
         with pytest.raises(ParameterError, match="alpha"):
             sweep(FAST, splits, [0.5, 1.2])
+
+    def test_bad_fraction_rejected(self, splits, no_training):
+        with pytest.raises(ParameterError, match="window fraction"):
+            sweep(FAST, splits, [0.5], fraction=1.5)
 
     def test_config_snapshots(self, splits):
         reports = sweep(FAST, splits, [0.4], 0.8, "holdout:0.25")
