@@ -13,6 +13,7 @@ the package does not import scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,33 @@ def slice_window(series, fraction: float, rng: RngStream) -> WindowSlice:
     return WindowSlice(start, s, series[start : start + s].copy())
 
 
+@functools.lru_cache(maxsize=64)
+def _spline_plan(m: int, target_len: int):
+    """The part of :func:`spline_resample` that does not depend on the knot values.
+
+    Returns ``(fact, diag, upper, i, z, z2, z3)``: the elimination multipliers,
+    eliminated diagonal and super-diagonal of the not-a-knot system as tuples
+    of floats, and the evaluation grid's interval index, offset, offset² and
+    offset³ as read-only arrays.  Every value is computed exactly as the
+    uncached solve and grid computed it.
+    """
+    diag = [1.0] + [4.0] * (m - 2) + [1.0]
+    upper = [2.0] + [1.0] * (m - 2)
+    lower = [1.0] * (m - 2) + [2.0]
+    fact = []
+    for k in range(m - 1):
+        fact.append(lower[k] / diag[k])
+        diag[k + 1] -= fact[k] * upper[k]
+    grid = np.linspace(0.0, float(m - 1), target_len)
+    i = np.minimum(grid.astype(np.intp), m - 2)
+    z = grid - i
+    z2 = z * z
+    z3 = z2 * z
+    for a in (i, z, z2, z3):
+        a.setflags(write=False)
+    return tuple(fact), tuple(diag), tuple(upper), i, z, z2, z3
+
+
 def spline_resample(segment, target_len: int) -> np.ndarray:
     """Resample a segment to target_len points with a not-a-knot cubic spline.
 
@@ -75,7 +103,9 @@ def spline_resample(segment, target_len: int) -> np.ndarray:
     ``dgtsv`` does on this matrix for every m >= 4; each interval is then
     evaluated as a cubic Hermite polynomial with its terms summed in the
     order of scipy's ``PPoly``.  The result is exact to scipy's
-    ``CubicSpline(np.arange(m), segment)`` on the same grid.
+    ``CubicSpline(np.arange(m), segment)`` on the same grid.  The matrix
+    elimination and the grid depend only on (m, target_len) and come from a
+    cached plan; each call runs the right-hand-side recurrences and the sum.
     """
     y = np.asarray(segment, dtype=np.float64)
     m = y.shape[0]
@@ -83,18 +113,14 @@ def spline_resample(segment, target_len: int) -> np.ndarray:
         raise InterpolationError(f"cubic spline needs at least 4 knots, got {m}")
     if target_len < 2:
         raise ParameterError(f"target length must be at least 2, got {target_len}")
+    fact, diag, upper, i, z, z2, z3 = _spline_plan(m, target_len)
     slope = y[1:] - y[:-1]
     sl = slope.tolist()
     # The right-hand side, overwritten in place by the knot slopes.
     s = [(5.0 * sl[0] + sl[1]) / 2.0, *(3 * (slope[:-1] + slope[1:])).tolist(),
          (sl[-2] + 5.0 * sl[-1]) / 2.0]
-    diag = [1.0] + [4.0] * (m - 2) + [1.0]
-    upper = [2.0] + [1.0] * (m - 2)
-    lower = [1.0] * (m - 2) + [2.0]
     for k in range(m - 1):
-        fact = lower[k] / diag[k]
-        diag[k + 1] -= fact * upper[k]
-        s[k + 1] -= fact * s[k]
+        s[k + 1] -= fact[k] * s[k]
     s[-1] /= diag[-1]
     # dgtsv also subtracts 0.0 * s[k + 2] here; no eliminated right-hand
     # side is -0.0, so that term cannot change a bit and is left out.
@@ -103,12 +129,8 @@ def spline_resample(segment, target_len: int) -> np.ndarray:
     s = np.array(s)
     cubic = s[:-1] + s[1:] - 2 * slope
     square = (slope - s[:-1]) - cubic
-    grid = np.linspace(0.0, float(m - 1), target_len)
-    i = np.minimum(grid.astype(np.intp), m - 2)
-    z = grid - i
-    z2 = z * z
     # PPoly starts its sum at 0.0, which turns a -0.0 knot value into +0.0.
-    return (((0.0 + y[i]) + s[i] * z) + square[i] * z2) + cubic[i] * (z2 * z)
+    return (((0.0 + y[i]) + s[i] * z) + square[i] * z2) + cubic[i] * z3
 
 
 def augment_sample(

@@ -3,7 +3,9 @@
 Flag values override an optional JSON config file, which overrides
 :data:`DEFAULTS`, the one option table (training defaults come from
 ``TrainConfig``); a config key outside it exits 2.  Options are checked before
-any input is read, and training commands create ``--out`` before training.
+any input is read, and training commands create ``--out`` after every usage
+check and before training.  ``evaluate`` writes ``evaluate.json`` only when
+``out`` is set by a flag or the config file.
 
 Exit codes: 0 success; 2 usage or input validation (bad flags, config keys
 or values, input files, and every out-of-range parameter); 1 runtime failure
@@ -30,6 +32,7 @@ from .pipeline import (
     VAL_TESTA,
     DataSplits,
     augment_selected,
+    check_threshold,
     resolve_validation,
     run_baseline_detailed,
     run_selective_detailed,
@@ -179,6 +182,9 @@ def _resolve_options(args) -> dict:
     check_window_fraction(opts["fraction"])
     opts["train"] = TrainConfig(**{key: opts[key] for key in TRAIN_KEYS})
     opts["with_timestamp"] = not getattr(args, "no_timestamp", False)
+    # The options set by a flag or the config file rather than by DEFAULTS.
+    opts["given"] = file_values.keys() | {
+        name for name in DEFAULTS if getattr(args, name, None) is not None}
     return opts
 
 
@@ -228,6 +234,13 @@ def _parse_alphas(spec_str: str) -> list[float]:
     return values
 
 
+def _check_run(opts, thresholds, train_ds: Dataset, test_a: Dataset) -> None:
+    """The pipeline's threshold and ``--val`` checks, run before ``--out`` is created."""
+    for threshold in thresholds:
+        check_threshold(threshold)
+    resolve_validation(train_ds, test_a, opts["val"])
+
+
 def _outdir(opts) -> Path:
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -265,6 +278,7 @@ def cmd_baseline(args) -> int:
 def cmd_selective(args) -> int:
     opts = _resolve_options(args)
     train_ds, test_a, test_b = _load_split(args)
+    _check_run(opts, [args.alpha], train_ds, test_a)
     out = _outdir(opts)
     artifacts = run_selective_detailed(
         opts["train"], train_ds, test_a, test_b, args.alpha, opts["fraction"], opts["val"]
@@ -285,6 +299,7 @@ def cmd_sweep(args) -> int:
     opts = _resolve_options(args)
     thresholds = _parse_alphas(args.alphas)
     splits = DataSplits(*_load_split(args))
+    _check_run(opts, thresholds, splits.train, splits.test_a)
     out = _outdir(opts)
     reports = sweep(opts["train"], splits, thresholds, opts["fraction"], opts["val"])
     write_json(out / "sweep.reports.json",
@@ -335,7 +350,7 @@ def cmd_evaluate(args) -> int:
         print(json.dumps({"accuracy": accuracy, "loss": loss}, sort_keys=True))
     else:
         print(f"accuracy={accuracy!r} loss={loss!r}")
-    if getattr(args, "out", None) is not None:
+    if "out" in opts["given"]:
         out = _outdir(opts)
         write_json(out / "evaluate.json", {"accuracy": accuracy, "loss": loss})
     return 0

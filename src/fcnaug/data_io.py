@@ -9,6 +9,7 @@ other accepted convention.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,7 +164,7 @@ def serialize_ucr(dataset: Dataset) -> str:
     """
     lines = []
     for s in dataset.samples:
-        lines.append("\t".join([str(s.label)] + [repr(float(v)) for v in s.values]))
+        lines.append("\t".join([str(s.label), *map(repr, s.values.tolist())]))
     return "\n".join(lines) + "\n"
 
 
@@ -208,11 +209,14 @@ def znormalize(values) -> tuple[np.ndarray, bool]:
         raise DataFormatError("cannot normalize an empty series")
     if not np.all(np.isfinite(values)):
         raise NumericError("series contains non-finite values")
-    mean = values.mean()
-    std = values.std()  # ddof=0: population convention
+    # The reductions of ndarray.mean() and std(ddof=0), without their wrappers.
+    n = values.size
+    centered = values - np.add.reduce(values, axis=None) / n
+    std = math.sqrt(np.add.reduce(centered * centered, axis=None) / n)
     if std < DEGENERATE_STD:
         return np.zeros_like(values), True
-    return (values - mean) / std, False
+    centered /= std
+    return centered, False
 
 
 def split_test(test: Dataset) -> tuple[Dataset, Dataset]:

@@ -182,7 +182,11 @@ def _conv_taps(kernel: int, length: int):
 def _conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
     """im2col for same-padded 1-D convolution: (B*L, kernel*Cin)."""
     b, length, cin = x.shape
-    cols = np.zeros((b, length, kernel, cin))
+    cols = np.empty((b, length, kernel, cin))
+    # A tap reads the zero padding only in the first and last kernel // 2 steps.
+    pad = kernel // 2
+    cols[:, :pad] = 0.0
+    cols[:, max(length - pad, 0):] = 0.0
     for k, shift, lo, hi in _conv_taps(kernel, length):
         cols[:, lo:hi, k, :] = x[:, lo + shift : hi + shift, :]
     return cols.reshape(b * length, kernel * cin)

@@ -89,7 +89,7 @@ def confidence_alpha(dist: PredictionDist) -> float:
     return float(abs(dist.probs[0] - dist.probs[1]))
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
     """Reject a confidence-margin threshold (alpha) outside [0, 1]."""
     if not 0.0 <= threshold <= 1.0:
         raise ParameterError(f"alpha threshold must lie in [0, 1], got {threshold}")
@@ -108,7 +108,7 @@ def select_low_confidence(
 
     Prediction correctness is irrelevant; only the margin matters.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     alphas = predict_alphas(params, probe_set)
     indices = tuple(int(i) for i in np.flatnonzero(alphas < threshold))
     return SelectionResult(indices, tuple(float(alphas[i]) for i in indices), threshold)
@@ -215,7 +215,7 @@ def run_selective_detailed(
     step-1 model bit for bit.  The retrain draws from a fresh stream
     ("from scratch", not warm-started).
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     check_window_fraction(fraction)
     rng = RngStream(cfg.seed)
     train_used, val_set = resolve_validation(train_set, test_a, val_mode)
@@ -276,7 +276,7 @@ def sweep(
     if not thresholds:
         raise ParameterError("at least one threshold is required")
     for t in thresholds:
-        _check_threshold(t)
+        check_threshold(t)
     check_window_fraction(fraction)
     base_cfg = replace(cfg, seed=derive_seed(cfg.seed, "baseline"))
     train_used, val_set = resolve_validation(splits.train, splits.test_a, val_mode)

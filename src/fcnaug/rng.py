@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -34,11 +35,22 @@ class RngStream:
 
         The label is hashed (sha256, platform independent) into the seed
         material, so distinct labels give statistically independent
-        streams for the same seed.
+        streams for the same seed.  The stream is the one of
+        ``SeedSequence([seed & MASK64, *words])`` with ``words`` the digest's
+        four little-endian 64-bit words.  That entropy is passed as the
+        uint32 array SeedSequence would build from the list, because its
+        conversion of Python ints one at a time costs more than the rest of
+        the generator: each int becomes its 32-bit words, low word first,
+        with no zero word kept at the high end (0 becomes ``[0]``).
         """
         digest = hashlib.sha256(self.label.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-        seq = np.random.SeedSequence([self.seed & _MASK64, *words])
+        entropy = []
+        for word in (self.seed & _MASK64,
+                     *(int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8))):
+            entropy.append(word & _MASK32)
+            if word >> 32:
+                entropy.append(word >> 32)
+        seq = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
         return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: datasets, synthetic data and finite-difference checking."""
+"""Shared test utilities: datasets, synthetic data, reference implementations and
+finite-difference checking."""
 
 from __future__ import annotations
 
@@ -115,3 +116,35 @@ def numeric_grad(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
         flat[i] = original
         grad.ravel()[i] = (up - down) / (2 * step)
     return grad
+
+
+def reference_spline_resample(segment, target_len: int) -> np.ndarray:
+    """``augmentation.spline_resample`` as it was before its plan cache.
+
+    It eliminates the not-a-knot system and builds the evaluation grid on
+    every call; the cached version must equal it bit for bit.
+    """
+    y = np.asarray(segment, dtype=np.float64)
+    m = y.shape[0]
+    slope = y[1:] - y[:-1]
+    sl = slope.tolist()
+    s = [(5.0 * sl[0] + sl[1]) / 2.0, *(3 * (slope[:-1] + slope[1:])).tolist(),
+         (sl[-2] + 5.0 * sl[-1]) / 2.0]
+    diag = [1.0] + [4.0] * (m - 2) + [1.0]
+    upper = [2.0] + [1.0] * (m - 2)
+    lower = [1.0] * (m - 2) + [2.0]
+    for k in range(m - 1):
+        fact = lower[k] / diag[k]
+        diag[k + 1] -= fact * upper[k]
+        s[k + 1] -= fact * s[k]
+    s[-1] /= diag[-1]
+    for k in range(m - 2, -1, -1):
+        s[k] = (s[k] - upper[k] * s[k + 1]) / diag[k]
+    s = np.array(s)
+    cubic = s[:-1] + s[1:] - 2 * slope
+    square = (slope - s[:-1]) - cubic
+    grid = np.linspace(0.0, float(m - 1), target_len)
+    i = np.minimum(grid.astype(np.intp), m - 2)
+    z = grid - i
+    z2 = z * z
+    return (((0.0 + y[i]) + s[i] * z) + square[i] * z2) + cubic[i] * (z2 * z)

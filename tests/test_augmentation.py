@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fcnaug
 from fcnaug.augmentation import (
+    _spline_plan,
     augment_sample,
     slice_window,
     spline_resample,
@@ -18,6 +19,8 @@ from fcnaug.augmentation import (
 from fcnaug.data_io import TimeSeriesSample
 from fcnaug.errors import InterpolationError, ParameterError
 from fcnaug.rng import RngStream
+
+from helpers import reference_spline_resample
 
 
 class TestSliceWindow:
@@ -146,6 +149,42 @@ class TestSplineOracle:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, timeout=120, check=True)
         assert result.stdout.strip() == "[]"
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSplinePlan:
+    # Few distinct lengths, so that calls share m with another target length,
+    # share the target length with another m, and repeat earlier pairs.
+    @settings(max_examples=200, deadline=None)
+    @given(calls=st.lists(st.tuples(spline_segments(), st.sampled_from([2, 3, 7, 24, 96])),
+                          min_size=1, max_size=8),
+           lengths=st.lists(st.tuples(st.sampled_from([4, 5, 11]),
+                                      st.sampled_from([2, 5, 11, 96])), max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_uncached_reference(self, calls, lengths, seed):
+        gen = np.random.default_rng(seed)
+        calls = calls + [(gen.standard_normal(m), t) for m, t in lengths]
+        order = gen.permutation(len(calls))
+        for k in order:
+            segment, target_len = calls[k]
+            out = spline_resample(segment, target_len)
+            assert same_bits(out, reference_spline_resample(segment, target_len)), \
+                (segment.shape[0], target_len)
+
+    def test_plan_is_read_only(self):
+        plan = _spline_plan(9, 20)
+        assert plan is _spline_plan(9, 20)
+        arrays = [part for part in plan if isinstance(part, np.ndarray)]
+        assert len(arrays) == 4
+        for part in plan:
+            assert isinstance(part, (tuple, np.ndarray))
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestAugmentSample:

@@ -51,4 +51,16 @@ def test_every_probe_resolves_and_observes(bench, tmp_path, capsys):
     assert tracer.absent == []
     assert tracer.broken == set()
     names = {span[0] for span in tracer.spans}
-    assert {"training.train", "pipeline.select_low_confidence"} <= names
+    assert {"training.train", "pipeline.select_low_confidence",
+            "augmentation.augment_sample", "augmentation.spline_resample",
+            "data_io.znormalize", "rng.generator"} <= names
+
+    # A fast path that skips the per-window functions would hide them from
+    # perfbench: each augment_sample span holds two windows' spline and
+    # z-normalization spans.
+    augments = [i for i, span in enumerate(tracer.spans)
+                if span[0] == "augmentation.augment_sample"]
+    for i in augments:
+        children = [span[0] for span in tracer.spans if span[3] == i]
+        assert children.count("augmentation.spline_resample") == 2
+        assert children.count("data_io.znormalize") == 2

@@ -141,12 +141,13 @@ class TestSelectiveCommand:
         assert (out / "selective.initial.ckpt.json").is_file()
         assert (out / "selective.final.ckpt.json").is_file()
 
-    def test_alpha_out_of_range_exits_2(self, data_files, tmp_path, capsys):
+    def test_alpha_out_of_range_exits_2(self, data_files, tmp_path, capsys, no_training):
         train, test = data_files
         code = run_cli("selective", "--train", train, "--test", test,
                        "--alpha", 1.5, "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_default_fraction_used(self, data_files, tmp_path):
         train, test = data_files
@@ -204,17 +205,38 @@ class TestSweepCommand:
                        "--alphas", "nope", "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
 
-    def test_alpha_out_of_range_exits_2(self, data_files, tmp_path, capsys):
+    def test_alpha_out_of_range_exits_2(self, data_files, tmp_path, capsys, no_training):
         train, test = data_files
         code = run_cli("sweep", "--train", train, "--test", test,
                        "--alphas", "0.5,1.2", "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_out_under_a_file_exits_1(self, data_files, tmp_path, capsys, no_training):
         train, test = data_files
         assert_out_under_a_file_exits_1(tmp_path, capsys, "sweep", "--train", train,
                                         "--test", test, "--alphas", "0.5")
+
+
+@pytest.mark.parametrize("command", [
+    ["selective", "--alpha", 0.5],
+    ["sweep", "--alphas", "0.5"],
+])
+@pytest.mark.parametrize("flags, config, message", [
+    (["--val", "bogus"], {}, "validation mode"),
+    ([], {"fraction": 1.5}, "window fraction"),
+])
+def test_usage_error_creates_no_out(data_files, tmp_path, capsys, no_training,
+                                    command, flags, config, message):
+    train, test = data_files
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = run_cli(*command, "--train", train, "--test", test, *flags, "--config", config_path,
+                   "--epochs", 1, "--out", tmp_path / "o")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +320,15 @@ class TestEvaluateCommand:
                        "--data", path)
         assert code == 1
         assert capsys.readouterr().err
+
+    def test_out_from_config_file_writes_metrics(self, run_dir, data_files, tmp_path):
+        _, test = data_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "cfgout")}))
+        code = run_cli("evaluate", "--checkpoint", run_dir / "baseline.ckpt.json",
+                       "--data", test, "--config", config)
+        assert code == 0
+        assert set(read_json(tmp_path / "cfgout" / "evaluate.json")) == {"accuracy", "loss"}
 
     def test_corrupt_checkpoint_exits_1(self, run_dir, data_files, tmp_path):
         _, test = data_files

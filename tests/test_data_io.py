@@ -2,8 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcnaug.data_io import (
+    DEGENERATE_STD,
     Dataset,
     TimeSeriesSample,
     load_ucr_file,
@@ -160,6 +163,37 @@ class TestZnormalize:
             assert not degenerate
             assert abs(out.mean()) < 1e-9
             assert abs(out.std() - 1.0) < 1e-9
+
+
+@st.composite
+def normalize_inputs(draw):
+    """Random, constant and tiny-scale series of 1 to 300 points."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["random", "constant", "tiny"]))
+    if kind == "constant":
+        values = np.full(n, draw(st.floats(-1e6, 1e6)))
+    else:
+        values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    offset = draw(st.floats(-100.0, 100.0))
+    # Tiny series straddle DEGENERATE_STD; the others span many magnitudes.
+    exponent = draw(st.floats(-12.0, -6.0) if kind == "tiny" else st.floats(-6.0, 6.0))
+    return offset + values * 10.0**exponent
+
+
+class TestZnormalizeReference:
+    @settings(max_examples=500, deadline=None)
+    @given(values=normalize_inputs())
+    @example(values=np.array([3.5]))
+    @example(values=np.array([1.0, 1.0 + 2e-8]))
+    def test_equals_mean_std_formula(self, values):
+        out, degenerate = znormalize(values)
+        assert degenerate == (values.std() < DEGENERATE_STD)
+        if degenerate:
+            expected = np.zeros_like(values)
+        else:
+            expected = (values - values.mean()) / values.std()
+        assert out.shape == expected.shape
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 class TestSplitTest:
