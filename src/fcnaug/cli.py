@@ -2,10 +2,12 @@
 
 Flag values override an optional JSON config file, which overrides
 :data:`DEFAULTS`, the one option table (training defaults come from
-``TrainConfig``); a config key outside it exits 2.  Options are checked before
-any input is read, and training commands create ``--out`` after every usage
-check and before training.  ``evaluate`` writes ``evaluate.json`` only when
-``out`` is set by a flag or the config file.
+``TrainConfig``); a config key outside it exits 2.  Option types are checked
+before any input is read.  Training commands load their inputs, check the
+thresholds, window fraction and ``--val`` mode with
+:func:`~fcnaug.pipeline.check_run`, and only then create ``--out`` and train.
+``evaluate`` writes ``evaluate.json`` only when ``out`` is set by a flag or
+the config file.
 
 Exit codes: 0 success; 2 usage or input validation (bad flags, config keys
 or values, input files, and every out-of-range parameter); 1 runtime failure
@@ -19,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .augmentation import DEFAULT_WINDOW_FRACTION, check_window_fraction
+from .augmentation import DEFAULT_WINDOW_FRACTION
 from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test
 from .errors import (
     DataFormatError,
@@ -32,8 +34,7 @@ from .pipeline import (
     VAL_TESTA,
     DataSplits,
     augment_selected,
-    check_threshold,
-    resolve_validation,
+    check_run,
     run_baseline_detailed,
     run_selective_detailed,
     select_low_confidence,
@@ -179,7 +180,6 @@ def _resolve_options(args) -> dict:
         opts[name] = kind(value)
     if opts["format"] not in FORMATS:
         raise UsageError(f"format must be one of {FORMATS}, got {opts['format']!r}")
-    check_window_fraction(opts["fraction"])
     opts["train"] = TrainConfig(**{key: opts[key] for key in TRAIN_KEYS})
     opts["with_timestamp"] = not getattr(args, "no_timestamp", False)
     # The options set by a flag or the config file rather than by DEFAULTS.
@@ -203,14 +203,13 @@ def _load_dataset(path_str: str) -> Dataset:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_split(args) -> tuple[Dataset, Dataset, Dataset]:
+def _load_split(args) -> DataSplits:
     train_ds = _load_dataset(args.train)
     test_ds = _load_dataset(args.test)
     try:
-        test_a, test_b = split_test(test_ds)
-    except SplitError as exc:
+        return DataSplits(train_ds, *split_test(test_ds))
+    except (SplitError, DataFormatError) as exc:
         raise UsageError(f"{args.test}: {exc}") from None
-    return train_ds, test_a, test_b
 
 
 def _parse_alphas(spec_str: str) -> list[float]:
@@ -234,13 +233,6 @@ def _parse_alphas(spec_str: str) -> list[float]:
     return values
 
 
-def _check_run(opts, thresholds, train_ds: Dataset, test_a: Dataset) -> None:
-    """The pipeline's threshold and ``--val`` checks, run before ``--out`` is created."""
-    for threshold in thresholds:
-        check_threshold(threshold)
-    resolve_validation(train_ds, test_a, opts["val"])
-
-
 def _outdir(opts) -> Path:
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -262,10 +254,11 @@ def _write_report(out: Path, report, opts) -> None:
 
 def cmd_baseline(args) -> int:
     opts = _resolve_options(args)
-    train_ds, test_a, test_b = _load_split(args)
-    train_used, val_set = resolve_validation(train_ds, test_a, opts["val"])
+    splits = _load_split(args)
+    train_used, val_set = check_run(splits, [], opts["fraction"], opts["val"])
     out = _outdir(opts)
-    artifacts = run_baseline_detailed(opts["train"], train_used, test_b, val_set, opts["val"])
+    artifacts = run_baseline_detailed(
+        opts["train"], train_used, splits.test_b, val_set, opts["val"])
     _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.model, out / "baseline.ckpt.json")
     (out / "baseline.history.csv").write_text(history_csv(artifacts.model))
@@ -277,18 +270,18 @@ def cmd_baseline(args) -> int:
 
 def cmd_selective(args) -> int:
     opts = _resolve_options(args)
-    train_ds, test_a, test_b = _load_split(args)
-    _check_run(opts, [args.alpha], train_ds, test_a)
+    splits = _load_split(args)
+    check_run(splits, [args.alpha], opts["fraction"], opts["val"])
     out = _outdir(opts)
     artifacts = run_selective_detailed(
-        opts["train"], train_ds, test_a, test_b, args.alpha, opts["fraction"], opts["val"]
-    )
+        opts["train"], splits.train, splits.test_a, splits.test_b,
+        args.alpha, opts["fraction"], opts["val"])
     _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.initial_model, out / "selective.initial.ckpt.json")
-    save_checkpoint(artifacts.final_model, out / "selective.final.ckpt.json")
+    save_checkpoint(artifacts.model, out / "selective.final.ckpt.json")
     (out / "selective.train_expanded.tsv").write_text(
         serialize_ucr(artifacts.expanded_train))
-    (out / "selective.history.csv").write_text(history_csv(artifacts.final_model))
+    (out / "selective.history.csv").write_text(history_csv(artifacts.model))
     r = artifacts.report
     print(f"selective: alpha={args.alpha} selected={r.selected_count} "
           f"accuracy={r.accuracy:.4f} loss={r.loss:.4f} out={out}")
@@ -298,8 +291,8 @@ def cmd_selective(args) -> int:
 def cmd_sweep(args) -> int:
     opts = _resolve_options(args)
     thresholds = _parse_alphas(args.alphas)
-    splits = DataSplits(*_load_split(args))
-    _check_run(opts, thresholds, splits.train, splits.test_a)
+    splits = _load_split(args)
+    check_run(splits, thresholds, opts["fraction"], opts["val"])
     out = _outdir(opts)
     reports = sweep(opts["train"], splits, thresholds, opts["fraction"], opts["val"])
     write_json(out / "sweep.reports.json",

@@ -46,7 +46,7 @@ class TimeSeriesSample:
         values = np.array(self.values, dtype=np.float64)  # own copy: samples are immutable
         if values.ndim != 1 or values.size == 0:
             raise DataFormatError("sample values must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DataParseError("sample contains non-finite values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -88,18 +88,14 @@ class Dataset:
     ) -> "Dataset":
         """Build a dataset, deriving metadata from the samples.
 
-        ``class_count`` defaults to max(label)+1 for non-negative labels and
-        to the number of distinct labels when raw (-1) labels are present.
+        ``class_count`` defaults to max(label)+1, and to at least 2, so raw
+        -1/1 labels fit and :func:`remap_labels` can name any other label.
         """
         samples = tuple(samples)
         if not samples:
             raise DataFormatError("dataset must contain at least one sample")
         if class_count is None:
-            labels = [s.label for s in samples]
-            if min(labels) >= 0:
-                class_count = max(max(labels) + 1, 2)
-            else:
-                class_count = len(set(labels))
+            class_count = max(max(s.label for s in samples) + 1, 2)
         return cls(samples, samples[0].values.shape[0], class_count)
 
     def __len__(self) -> int:
@@ -138,7 +134,7 @@ def parse_ucr(text: str) -> Dataset:
             numbers = np.array([float(f) for f in fields], dtype=np.float64)
         except ValueError as exc:
             raise DataParseError(f"line {lineno}: non-numeric field ({exc})") from None
-        if not np.all(np.isfinite(numbers)):
+        if not np.isfinite(numbers).all():
             raise DataParseError(f"line {lineno}: non-finite value")
         label_f = numbers[0]
         if label_f != int(label_f):
@@ -207,7 +203,7 @@ def znormalize(values) -> tuple[np.ndarray, bool]:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DataFormatError("cannot normalize an empty series")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError("series contains non-finite values")
     # The reductions of ndarray.mean() and std(ddof=0), without their wrappers.
     n = values.size

@@ -404,7 +404,7 @@ def softmax(logits) -> PredictionDist:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.shape[0] < 2:
         raise ShapeError("softmax expects a 1-D vector of at least 2 logits")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericError("softmax input contains non-finite logits")
     probs = softmax_batch(z[None, :])[0]
     alpha = float(abs(probs[0] - probs[1])) if z.shape[0] == 2 else None

@@ -1,10 +1,12 @@
 """Experiment orchestration: baseline run, selective augmentation, threshold sweep.
 
-The selective procedure: train an initial model, score the probe set
-(test_set_a) by confidence margin, augment every sample whose margin falls
-strictly below the threshold (twice each), merge the new series into the
-training set, retrain from scratch with identical hyperparameters, and
-evaluate the retrained model on the held-back half (test_set_b).
+The baseline is the prefix of every run: train an initial model and, for a
+baseline, evaluate it on the held-back half (test_set_b).  A selective run
+continues from there: score the probe set (test_set_a) by confidence margin,
+augment every sample whose margin falls strictly below the threshold (twice
+each), merge the new series into the training set, retrain from scratch with
+identical hyperparameters, and evaluate the retrained model instead.
+:func:`check_run` checks a run's parameters before any training starts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample, check_window_fraction
 from .data_io import Dataset, TimeSeriesSample
-from .errors import ParameterError
+from .errors import DataFormatError, ParameterError
 from .nn_engine import FcnParams, PredictionDist, softmax_batch
 from .rng import RngStream, derive_seed
 from .training import TrainConfig, TrainedModel, evaluate, infer_logits, train
@@ -65,19 +67,22 @@ class DataSplits:
     test_a: Dataset
     test_b: Dataset
 
+    def __post_init__(self):
+        for half in (self.test_a, self.test_b):
+            if half.series_len != self.train.series_len:
+                raise DataFormatError(f"test series have length {half.series_len}, "
+                                      f"training series {self.train.series_len}")
+
 
 @dataclass
-class BaselineArtifacts:
+class RunArtifacts:
+    """A run's report, reported model and step-1 model (one object for a
+    baseline), and a selective run's selection and expanded training set."""
+
     report: ExperimentReport
     model: TrainedModel
-
-
-@dataclass
-class SelectiveArtifacts:
-    report: ExperimentReport
     initial_model: TrainedModel
-    final_model: TrainedModel
-    selection: SelectionResult
+    selection: SelectionResult | None
     augmented: list
     expanded_train: Dataset
 
@@ -120,8 +125,10 @@ def augment_selected(
     """Two augmentations of each selected probe sample, in selection order.
 
     Sample ``idx`` draws from ``rng.child("augment", idx)``, so its pair does
-    not depend on which other samples were selected.
+    not depend on which other samples were selected.  The fraction is checked
+    even when nothing was selected.
     """
+    check_window_fraction(fraction)
     augmented = []
     for idx in selection.indices:
         augmented.extend(
@@ -129,30 +136,36 @@ def augment_selected(
     return augmented
 
 
-def resolve_validation(
-    train_set: Dataset, test_a: Dataset, val_mode: str
+def check_run(
+    splits: DataSplits, thresholds: list[float], fraction: float, val_mode: str
 ) -> tuple[Dataset, Dataset]:
-    """Pick the validation set: the probe half (default) or a training holdout.
+    """Check a run's thresholds, window fraction and validation mode.
 
-    ``holdout:F`` carves the final floor(F * n) training samples (file order)
-    out as validation and trains on the remainder.
+    Returns the (training, validation) sets to train on.  The validation set
+    is the probe half (``testa``, the default) or, under ``holdout:F``, the
+    final floor(F * n) training samples (file order), which the training set
+    then leaves out.
     """
+    for threshold in thresholds:
+        check_threshold(threshold)
+    check_window_fraction(fraction)
+    train_set = splits.train
     if val_mode == VAL_TESTA:
-        return train_set, test_a
-    if val_mode.startswith(VAL_HOLDOUT_PREFIX):
-        try:
-            frac = float(val_mode[len(VAL_HOLDOUT_PREFIX):])
-        except ValueError:
-            raise ParameterError(f"bad holdout fraction in {val_mode!r}") from None
-        if not 0.0 < frac < 1.0:
-            raise ParameterError("holdout fraction must lie strictly between 0 and 1")
-        k = int(frac * len(train_set))
-        if k < 1 or k >= len(train_set):
-            raise ParameterError(f"holdout of {k} samples is not usable")
-        keep = train_set.subset(range(len(train_set) - k))
-        held = train_set.subset(range(len(train_set) - k, len(train_set)))
-        return keep, held
-    raise ParameterError(f"unknown validation mode {val_mode!r}")
+        return train_set, splits.test_a
+    if not val_mode.startswith(VAL_HOLDOUT_PREFIX):
+        raise ParameterError(f"unknown validation mode {val_mode!r}")
+    try:
+        frac = float(val_mode[len(VAL_HOLDOUT_PREFIX):])
+    except ValueError:
+        raise ParameterError(f"bad holdout fraction in {val_mode!r}") from None
+    if not 0.0 < frac < 1.0:
+        raise ParameterError("holdout fraction must lie strictly between 0 and 1")
+    k = int(frac * len(train_set))
+    if k < 1 or k >= len(train_set):
+        raise ParameterError(f"holdout of {k} samples is not usable")
+    keep = train_set.subset(range(len(train_set) - k))
+    held = train_set.subset(range(len(train_set) - k, len(train_set)))
+    return keep, held
 
 
 def _report(
@@ -167,11 +180,12 @@ def _report(
 ) -> ExperimentReport:
     """Evaluate ``model`` on the eval half and record the run.
 
-    Without a selection the run is a baseline row, with one a selective row.
+    Without a selection the run is a baseline row, with one a selective row;
+    a baseline row records no window fraction.
     """
     accuracy, loss = evaluate(model.params, test_b)
     config = asdict(cfg)
-    config["window_fraction"] = fraction
+    config["window_fraction"] = None if selection is None else fraction
     config["val_mode"] = val_mode
     return ExperimentReport(
         mode="baseline" if selection is None else "selective",
@@ -187,16 +201,47 @@ def _report(
     )
 
 
+def _run(
+    cfg: TrainConfig,
+    train_used: Dataset,
+    val_set: Dataset,
+    test_a: Dataset | None,
+    test_b: Dataset,
+    val_mode: str,
+    threshold: float | None = None,
+    fraction: float | None = None,
+) -> RunArtifacts:
+    """One row: the baseline, plus select, augment and retrain given a threshold.
+
+    The initial training draws from the same stream with or without a
+    threshold, so a baseline and a selective run at one seed share their
+    step-1 model bit for bit.  The retrain draws from a fresh stream ("from
+    scratch", not warm-started).
+    """
+    rng = RngStream(cfg.seed)
+    initial = model = train(cfg, train_used, val_set, rng.child("train", "initial"))
+    selection, augmented, expanded = None, [], train_used
+    if threshold is not None:
+        selection = select_low_confidence(initial.params, test_a, threshold)
+        augmented = augment_selected(test_a, selection, fraction, rng)
+        expanded = Dataset(train_used.samples + tuple(augmented),
+                           train_used.series_len, train_used.class_count)
+        model = train(cfg, expanded, val_set, rng.child("train", "retrain"))
+    report = _report(
+        cfg, model, len(expanded), test_b, val_mode, selection, len(augmented), fraction
+    )
+    return RunArtifacts(report, model, initial, selection, augmented, expanded)
+
+
 def run_baseline_detailed(
     cfg: TrainConfig,
     train_set: Dataset,
     test_b: Dataset,
     val_set: Dataset,
     val_mode: str = VAL_TESTA,
-) -> BaselineArtifacts:
+) -> RunArtifacts:
     """Train on the untouched training set and evaluate on the eval half."""
-    model = train(cfg, train_set, val_set, RngStream(cfg.seed).child("train", "initial"))
-    return BaselineArtifacts(_report(cfg, model, len(train_set), test_b, val_mode), model)
+    return _run(cfg, train_set, val_set, None, test_b, val_mode)
 
 
 def run_selective_detailed(
@@ -207,36 +252,12 @@ def run_selective_detailed(
     threshold: float,
     fraction: float = DEFAULT_WINDOW_FRACTION,
     val_mode: str = VAL_TESTA,
-) -> SelectiveArtifacts:
-    """The full selective procedure, returning every intermediate artifact.
-
-    The initial training consumes exactly the same random stream as
-    :func:`run_baseline_detailed`, so for equal configs the two share their
-    step-1 model bit for bit.  The retrain draws from a fresh stream
-    ("from scratch", not warm-started).
-    """
-    check_threshold(threshold)
-    check_window_fraction(fraction)
-    rng = RngStream(cfg.seed)
-    train_used, val_set = resolve_validation(train_set, test_a, val_mode)
-
-    initial = train(cfg, train_used, val_set, rng.child("train", "initial"))
-    selection = select_low_confidence(initial.params, test_a, threshold)
-    augmented = augment_selected(test_a, selection, fraction, rng)
-
-    if augmented:
-        expanded = Dataset(
-            train_used.samples + tuple(augmented),
-            train_used.series_len,
-            train_used.class_count,
-        )
-    else:
-        expanded = train_used
-    final = train(cfg, expanded, val_set, rng.child("train", "retrain"))
-    report = _report(
-        cfg, final, len(expanded), test_b, val_mode, selection, len(augmented), fraction
+) -> RunArtifacts:
+    """The full selective procedure, returning every intermediate artifact."""
+    train_used, val_set = check_run(
+        DataSplits(train_set, test_a, test_b), [threshold], fraction, val_mode
     )
-    return SelectiveArtifacts(report, initial, final, selection, augmented, expanded)
+    return _run(cfg, train_used, val_set, test_a, test_b, val_mode, threshold, fraction)
 
 
 def run_experiment_pair(
@@ -248,15 +269,14 @@ def run_experiment_pair(
 ) -> tuple[ExperimentReport, ExperimentReport]:
     """Baseline and selective reports sharing one initial training.
 
-    Because the baseline and the selective step-1 training are driven by the
-    same stream, the baseline report here is identical to the one from an
-    independent :func:`run_baseline_detailed` at the same seed; this just
-    avoids training the same model twice.
+    The baseline report is the selective run's step-1 model evaluated, so it
+    is identical to an independent :func:`run_baseline_detailed` at the same
+    seed without training the same model twice.
     """
-    artifacts = run_selective_detailed(
-        cfg, splits.train, splits.test_a, splits.test_b, threshold, fraction, val_mode
+    train_used, val_set = check_run(splits, [threshold], fraction, val_mode)
+    artifacts = _run(
+        cfg, train_used, val_set, splits.test_a, splits.test_b, val_mode, threshold, fraction
     )
-    train_used, _ = resolve_validation(splits.train, splits.test_a, val_mode)
     baseline = _report(cfg, artifacts.initial_model, len(train_used), splits.test_b, val_mode)
     return baseline, artifacts.report
 
@@ -275,20 +295,11 @@ def sweep(
     """
     if not thresholds:
         raise ParameterError("at least one threshold is required")
-    for t in thresholds:
-        check_threshold(t)
-    check_window_fraction(fraction)
-    base_cfg = replace(cfg, seed=derive_seed(cfg.seed, "baseline"))
-    train_used, val_set = resolve_validation(splits.train, splits.test_a, val_mode)
-    reports = [
-        run_baseline_detailed(base_cfg, train_used, splits.test_b, val_set, val_mode).report
+    train_used, val_set = check_run(splits, thresholds, fraction, val_mode)
+    seeds = [derive_seed(cfg.seed, "baseline")]
+    seeds += [derive_seed(cfg.seed, "threshold", i) for i in range(len(thresholds))]
+    return [
+        _run(replace(cfg, seed=seed), train_used, val_set, splits.test_a, splits.test_b,
+             val_mode, threshold, fraction).report
+        for seed, threshold in zip(seeds, [None, *thresholds])
     ]
-    for i, threshold in enumerate(thresholds):
-        row_cfg = replace(cfg, seed=derive_seed(cfg.seed, "threshold", i))
-        reports.append(
-            run_selective_detailed(
-                row_cfg, splits.train, splits.test_a, splits.test_b,
-                threshold, fraction, val_mode,
-            ).report
-        )
-    return reports

@@ -52,25 +52,22 @@ INFER_BLOCK = 32
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run.  Only epochs, batch_size and seed
+    are settable; ``asdict`` still lists the fixed fields for the report."""
 
     epochs: int = 500
     batch_size: int = 32
-    initial_lr: float = 1e-3
-    plateau_factor: float = 0.5
-    plateau_patience: int = 20
-    min_lr: float = 1e-4
-    min_delta: float = 1e-4
+    initial_lr: float = field(default=1e-3, init=False)
+    plateau_factor: float = field(default=0.5, init=False)
+    plateau_patience: int = field(default=20, init=False)
+    min_lr: float = field(default=1e-4, init=False)
+    min_delta: float = field(default=1e-4, init=False)
     seed: int = 0
-    shuffle: bool = True
+    shuffle: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be at least 1")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ParameterError("plateau_factor must lie strictly between 0 and 1")
-        if self.min_lr > self.initial_lr:
-            raise ParameterError("min_lr cannot exceed initial_lr")
 
 
 @dataclass
@@ -119,7 +116,7 @@ def adam_step(state: AdamState, params: FcnParams, grads, lr: float):
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, theta in params.learnables():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for {name}")
         if name not in state.m:
             state.m[name] = np.zeros_like(theta)
@@ -219,10 +216,7 @@ def train(
 
     for epoch in range(1, cfg.epochs + 1):
         lr = plateau.current_lr
-        if cfg.shuffle:
-            order = rng.child("shuffle", epoch).generator().permutation(n)
-        else:
-            order = np.arange(n)
+        order = rng.child("shuffle", epoch).generator().permutation(n)
         loss_sum = 0.0
         for start, stop in batch_bounds(n, cfg.batch_size):
             idx = order[start:stop]
@@ -299,7 +293,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                     f"tensor {name} has shape {entry['shape']}, expected {tensor.shape}"
                 )
             tensor[...] = np.array(entry["values"], dtype=np.float64).reshape(tensor.shape)
-            if not np.all(np.isfinite(tensor)):
+            if not np.isfinite(tensor).all():
                 raise CheckpointError(f"tensor {name} contains non-finite values")
         history = [EpochStats(float(t), float(v), float(lr)) for t, v, lr in doc["history"]]
         return TrainedModel(

@@ -2,8 +2,8 @@
 
 perfbench wraps public fcnaug functions from outside by name.  A refactor
 that renames or removes one of them leaves the benchmark silently blind to
-it, so this test installs perfbench's own probe list on the package and runs
-a short selective experiment through the CLI.
+it, so these tests install perfbench's own probe list on the package and run
+short experiments through the CLI.
 """
 
 import sys
@@ -17,6 +17,9 @@ from fcnaug.data_io import serialize_ucr
 from helpers import make_synthetic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EPOCHS = 2
+THRESHOLDS = (0.4, 0.9)
+T = len(THRESHOLDS)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,8 @@ def bench():
     return Tracer, FULL_PROBES
 
 
-def test_every_probe_resolves_and_observes(bench, tmp_path, capsys):
+def traced_run(bench, tmp_path, capsys, *argv):
+    """Run one CLI command on toy data under perfbench's tracer; return the tracer."""
     tracer_cls, probes = bench
     train, test = tmp_path / "toy_TRAIN.tsv", tmp_path / "toy_TEST.tsv"
     train.write_text(serialize_ucr(make_synthetic(n_per_class=8, length=24, seed=0)))
@@ -41,8 +45,8 @@ def test_every_probe_resolves_and_observes(bench, tmp_path, capsys):
     tracer.install(probes)
     try:
         code = fcnaug.cli.main([
-            "selective", "--train", str(train), "--test", str(test), "--alpha", "0.9",
-            "--epochs", "2", "--seed", "3", "--out", str(tmp_path / "out"),
+            argv[0], "--train", str(train), "--test", str(test), *argv[1:],
+            "--epochs", str(EPOCHS), "--seed", "3", "--out", str(tmp_path / "out"),
         ])
     finally:
         tracer.uninstall()
@@ -50,6 +54,11 @@ def test_every_probe_resolves_and_observes(bench, tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     assert tracer.absent == []
     assert tracer.broken == set()
+    return tracer
+
+
+def test_every_probe_resolves_and_observes(bench, tmp_path, capsys):
+    tracer = traced_run(bench, tmp_path, capsys, "selective", "--alpha", "0.9")
     names = {span[0] for span in tracer.spans}
     assert {"training.train", "pipeline.select_low_confidence",
             "augmentation.augment_sample", "augmentation.spline_resample",
@@ -64,3 +73,19 @@ def test_every_probe_resolves_and_observes(bench, tmp_path, capsys):
         children = [span[0] for span in tracer.spans if span[3] == i]
         assert children.count("augmentation.spline_resample") == 2
         assert children.count("data_io.znormalize") == 2
+
+
+# A baseline row trains once and evaluates once per epoch plus once for its
+# report; a selective row trains twice.  A sweep is one baseline row plus one
+# selective row per threshold.
+@pytest.mark.parametrize("argv, trains, evaluates", [
+    (["baseline"], 1, EPOCHS + 1),
+    (["selective", "--alpha", "0.9"], 2, 2 * EPOCHS + 1),
+    (["sweep", "--alphas", ",".join(map(str, THRESHOLDS))],
+     1 + 2 * T, (1 + 2 * T) * EPOCHS + 1 + T),
+])
+def test_row_path_call_counts(bench, tmp_path, capsys, argv, trains, evaluates):
+    tracer = traced_run(bench, tmp_path, capsys, *argv)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("training.train") == trains
+    assert names.count("training.evaluate") == evaluates

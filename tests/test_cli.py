@@ -102,15 +102,28 @@ class TestBaselineCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
-    def test_other_label_convention_exits_2(self, data_files, tmp_path, capsys):
+    @pytest.mark.parametrize("labels", [(1, 2), (-1, 2), (-1, 1, 3)])
+    def test_other_label_convention_exits_2(self, data_files, tmp_path, capsys, labels):
         _, test = data_files
-        one_two = tmp_path / "one_two.tsv"
-        one_two.write_text("1\t0.5\t1.5\n2\t1.0\t2.0\n")
-        code = run_cli("baseline", "--train", one_two, "--test", test,
+        other = tmp_path / "other.tsv"
+        other.write_text("".join(f"{label}\t0.5\t1.5\n" for label in labels))
+        code = run_cli("baseline", "--train", other, "--test", test,
                        "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
         err = capsys.readouterr().err
-        assert "one_two.tsv" in err and "-1/1" in err and "0/1" in err
+        assert "other.tsv" in err and "-1/1" in err and "0/1" in err
+        assert f"unsupported label {max(labels)}" in err
+
+    def test_series_length_mismatch_exits_2(self, data_files, tmp_path, capsys, no_training):
+        train, _ = data_files
+        short = tmp_path / "short.tsv"
+        short.write_text(serialize_ucr(make_synthetic(n_per_class=2, length=16, seed=5)))
+        code = run_cli("baseline", "--train", train, "--test", short,
+                       "--val", "holdout:0.2", "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "short.tsv" in err and "16" in err and "24" in err
+        assert not (tmp_path / "o").exists()
 
     def test_out_under_a_file_exits_1(self, data_files, tmp_path, capsys, no_training):
         train, test = data_files
@@ -286,6 +299,15 @@ class TestAugmentCommand:
                        "--alpha", -0.5, "--out", tmp_path / "o")
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_bad_fraction_exits_2_even_if_nothing_selected(self, checkpoint, data_files,
+                                                           tmp_path, capsys):
+        _, test = data_files
+        code = run_cli("augment", "--checkpoint", checkpoint, "--probe", test,
+                       "--alpha", 0.0, "--fraction", 1.5, "--out", tmp_path / "o")
+        assert code == 2
+        assert "window fraction" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint_exits_2(self, data_files, tmp_path):
         _, test = data_files

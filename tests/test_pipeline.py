@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from fcnaug.data_io import split_test
-from fcnaug.errors import ParameterError
+from fcnaug.errors import DataFormatError, ParameterError
 from fcnaug.nn_engine import FcnConfig, init_params, softmax
 from fcnaug.pipeline import (
     DataSplits,
     SelectionResult,
+    check_run,
     confidence_alpha,
     predict_alphas,
-    resolve_validation,
     run_baseline_detailed,
     run_experiment_pair,
     run_selective_detailed,
@@ -124,6 +124,12 @@ class TestBaseline:
         a = run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a).report
         b = run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a).report
         assert asdict(a) == asdict(b)
+
+    def test_artifacts(self, splits):
+        artifacts = run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a)
+        assert artifacts.model is artifacts.initial_model
+        assert artifacts.selection is None and artifacts.augmented == []
+        assert artifacts.expanded_train is splits.train
 
 
 class TestSelective:
@@ -251,14 +257,27 @@ class TestSweep:
         assert [asdict(r) for r in a] == [asdict(r) for r in b]
 
 
-class TestResolveValidation:
+class TestCheckRun:
+    @pytest.mark.parametrize("thresholds, fraction, val_mode, message", [
+        ([0.5, 1.2], 0.7, "testa", "alpha"),
+        ([], 0.0, "testa", "window fraction"),
+    ])
+    def test_rejects(self, splits, thresholds, fraction, val_mode, message):
+        with pytest.raises(ParameterError, match=message):
+            check_run(splits, thresholds, fraction, val_mode)
+
+    def test_splits_reject_unequal_lengths(self, splits):
+        short_a, short_b = split_test(make_synthetic(n_per_class=2, length=16, seed=1))
+        with pytest.raises(DataFormatError, match="16.*24"):
+            DataSplits(splits.train, short_a, short_b)
+
     def test_testa_mode(self, splits):
-        train_used, val = resolve_validation(splits.train, splits.test_a, "testa")
+        train_used, val = check_run(splits, [0.5], 0.7, "testa")
         assert train_used is splits.train
         assert val is splits.test_a
 
     def test_holdout_mode(self, splits):
-        train_used, val = resolve_validation(splits.train, splits.test_a, "holdout:0.25")
+        train_used, val = check_run(splits, [0.5], 0.7, "holdout:0.25")
         k = int(0.25 * len(splits.train))
         assert len(val) == k
         assert len(train_used) == len(splits.train) - k
@@ -267,7 +286,7 @@ class TestResolveValidation:
     @pytest.mark.parametrize("mode", ["holdout:0", "holdout:1", "holdout:x", "bogus"])
     def test_bad_modes(self, splits, mode):
         with pytest.raises(ParameterError):
-            resolve_validation(splits.train, splits.test_a, mode)
+            check_run(splits, [], 0.7, mode)
 
     def test_holdout_run_accounts_sizes(self, splits):
         artifacts = run_selective_detailed(
