@@ -42,11 +42,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-7
 
-# Rows per infer-mode forward.  At 96 points and 64 filters a 32-row block's
-# im2col matrix is 4.7 MB and each activation 1.5 MB, close to a 4 MB L2
-# cache.  256-row blocks (37.7 MB and 12.6 MB) scored 2048 rows at 2.3k
-# rows/s against 4.0k at 32 on a 2-vCPU Xeon, one BLAS thread; 16 and 64
-# rows read the same as 32 within noise.
+# Rows per infer-mode forward.  At 96 points and 64 filters each activation of
+# a 32-row block is 1.5 MB, close to a 4 MB L2 cache.  Scoring 2048 rows with
+# the per-tap conv on a 2-vCPU Xeon, one BLAS thread, 8 runs each: median
+# 4810 rows/s at 32, 5234 at 16 and 5113 at 64, both gaps inside 32's
+# interquartile range of 509 rows/s.
 INFER_BLOCK = 32
 
 

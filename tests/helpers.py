@@ -118,6 +118,36 @@ def numeric_grad(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     return grad
 
 
+def reference_conv1d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-padded conv by direct sums over time steps and taps, no GEMM."""
+    b, length, _ = x.shape
+    kernel, _, cout = weights.shape
+    out = np.empty((b, length, cout))
+    for t in range(length):
+        acc = np.broadcast_to(bias, (b, cout)).copy()
+        for k in range(kernel):
+            src = t + k - kernel // 2
+            if 0 <= src < length:
+                acc += np.einsum("bi,io->bo", x[:, src], weights[k])
+        out[:, t] = acc
+    return out
+
+
+def reference_conv1d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
+    """(grad_x, grad_weights, grad_bias) of :func:`reference_conv1d` by direct sums."""
+    b, length, _ = x.shape
+    kernel = weights.shape[0]
+    grad_x = np.zeros(x.shape)
+    grad_weights = np.zeros(weights.shape)
+    for t in range(length):
+        for k in range(kernel):
+            src = t + k - kernel // 2
+            if 0 <= src < length:
+                grad_x[:, src] += np.einsum("bo,io->bi", grad_out[:, t], weights[k])
+                grad_weights[k] += np.einsum("bi,bo->io", x[:, src], grad_out[:, t])
+    return grad_x, grad_weights, grad_out.sum(axis=(0, 1))
+
+
 def reference_spline_resample(segment, target_len: int) -> np.ndarray:
     """``augmentation.spline_resample`` as it was before its plan cache.
 

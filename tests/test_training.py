@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcnaug
 from fcnaug.data_io import Dataset, TimeSeriesSample
 from fcnaug.errors import (
     CheckpointError,
@@ -30,6 +36,19 @@ from fcnaug.training import (
 )
 
 from helpers import make_synthetic
+
+# Trains on ECG200 and prints the sha256 of every parameter tensor.
+_HASH_TRAINED_PARAMS = textwrap.dedent("""
+    import hashlib, sys
+    from fcnaug.data_io import load_ucr_file, remap_labels, split_test
+    from fcnaug.rng import RngStream
+    from fcnaug.training import TrainConfig, train
+    train_set = remap_labels(load_ucr_file(sys.argv[1]))
+    val_set = split_test(remap_labels(load_ucr_file(sys.argv[2])))[0]
+    model = train(TrainConfig(epochs=3, seed=0), train_set, val_set, RngStream(0))
+    for name, tensor in model.params.all_tensors():
+        print(name, hashlib.sha256(tensor.tobytes()).hexdigest())
+""")
 
 
 class _ScalarParams:
@@ -317,3 +336,21 @@ class TestCheckpoint:
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert len(lines) == 1 + len(model.history)
         assert lines[1].startswith("1,")
+
+
+class TestBlasThreads:
+    """OpenBLAS may split a GEMM differently across threads; results must not move."""
+
+    def test_training_identical_across_blas_thread_counts(self, ecg200_paths):
+        src = str(Path(fcnaug.__file__).resolve().parents[1])
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            result = subprocess.run(
+                [sys.executable, "-c", _HASH_TRAINED_PARAMS, *map(str, ecg200_paths)],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            hashes.append(result.stdout)
+        assert hashes[0].count("\n") == 20
+        assert hashes[0] == hashes[1]
