@@ -24,6 +24,8 @@ from .errors import InterpolationError, ParameterError
 from .rng import RngStream
 
 DEFAULT_WINDOW_FRACTION = 0.7
+# The fewest knots a not-a-knot cubic spline takes, so the shortest window.
+SPLINE_MIN_KNOTS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,16 +37,19 @@ class WindowSlice:
     values: np.ndarray
 
 
-def check_window_fraction(fraction: float) -> None:
-    """Reject a window fraction outside (0, 1]."""
+def window_length(n: int, fraction: float) -> int:
+    """Slice length for a series of length n: floor(fraction * n), fraction in (0, 1]."""
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"window fraction must be in (0, 1], got {fraction}")
-
-
-def window_length(n: int, fraction: float) -> int:
-    """Slice length for a series of length n: floor(fraction * n)."""
-    check_window_fraction(fraction)
     return math.floor(fraction * n)
+
+
+def check_window(series_len: int, fraction: float) -> None:
+    """Reject a fraction whose window of a series_len series is too short to augment."""
+    s = window_length(series_len, fraction)
+    if s < SPLINE_MIN_KNOTS:
+        raise ParameterError(f"window fraction {fraction} of a {series_len}-point series gives "
+                             f"a {s}-point window; the spline needs {SPLINE_MIN_KNOTS} points")
 
 
 def slice_window(series, fraction: float, rng: RngStream) -> WindowSlice:
@@ -109,8 +114,8 @@ def spline_resample(segment, target_len: int) -> np.ndarray:
     """
     y = np.asarray(segment, dtype=np.float64)
     m = y.shape[0]
-    if m < 4:
-        raise InterpolationError(f"cubic spline needs at least 4 knots, got {m}")
+    if m < SPLINE_MIN_KNOTS:
+        raise InterpolationError(f"cubic spline needs at least {SPLINE_MIN_KNOTS} knots, got {m}")
     if target_len < 2:
         raise ParameterError(f"target length must be at least 2, got {target_len}")
     fact, diag, upper, i, z, z2, z3 = _spline_plan(m, target_len)

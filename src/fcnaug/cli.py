@@ -4,14 +4,16 @@ Flag values override an optional JSON config file, which overrides
 :data:`DEFAULTS`, the one option table (training defaults come from
 ``TrainConfig``); a config key outside it exits 2.  Option types are checked
 before any input is read.  Training commands load their inputs, check the
-thresholds, window fraction and ``--val`` mode with
-:func:`~fcnaug.pipeline.check_run`, and only then create ``--out`` and train.
-``evaluate`` writes ``evaluate.json`` only when ``out`` is set by a flag or
-the config file.
+thresholds, the window fraction and the window it gives, and the ``--val``
+mode with :func:`~fcnaug.pipeline.check_run`, and only then create ``--out``
+and train.  ``evaluate`` writes ``evaluate.json`` only when ``out`` is set by
+a flag or the config file.
 
-Exit codes: 0 success; 2 usage or input validation (bad flags, config keys
-or values, input files, and every out-of-range parameter); 1 runtime failure
-(training, checkpoint and file-system errors).
+Exit codes, set by the error's type in :func:`main` alone: 0 success; 2 for
+an :class:`~fcnaug.errors.InputError` (bad flags, config keys or values,
+input files, and every out-of-range parameter); 1 for any other
+:class:`~fcnaug.errors.FcnAugError` or an ``OSError`` (training, checkpoint
+and file-system failures).
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from pathlib import Path
 
 from .augmentation import DEFAULT_WINDOW_FRACTION
 from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test
-from .errors import (
-    DataFormatError,
-    FcnAugError,
-    ParameterError,
-    SplitError,
-    UnsupportedLabelError,
-)
+from .errors import FcnAugError, InputError
 from .pipeline import (
     VAL_TESTA,
     DataSplits,
@@ -61,10 +57,6 @@ DEFAULTS = {
     "out": "runs",
     "format": FORMATS[0],
 }
-
-
-class UsageError(Exception):
-    """Bad flags or unusable input files; exits with status 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,12 +128,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FcnAugError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +141,16 @@ def main(argv=None) -> int:
 def _resolve_options(args) -> dict:
     file_values = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
+        path = _existing(args.config)
         try:
-            file_values = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+            file_values = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InputError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
-            raise UsageError(f"config file {path} must contain a JSON object")
+            raise InputError(f"config file {path} must contain a JSON object")
         unknown = sorted(set(file_values) - DEFAULTS.keys())
         if unknown:
-            raise UsageError(f"config file {path} has unknown keys {unknown}; "
+            raise InputError(f"config file {path} has unknown keys {unknown}; "
                              f"known keys are {list(DEFAULTS)}")
 
     opts = {}
@@ -176,10 +163,10 @@ def _resolve_options(args) -> dict:
         kind = type(default)
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
-            raise UsageError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            raise InputError(f"{name} must be of type {kind.__name__}, got {value!r}")
         opts[name] = kind(value)
     if opts["format"] not in FORMATS:
-        raise UsageError(f"format must be one of {FORMATS}, got {opts['format']!r}")
+        raise InputError(f"format must be one of {FORMATS}, got {opts['format']!r}")
     opts["train"] = TrainConfig(**{key: opts[key] for key in TRAIN_KEYS})
     opts["with_timestamp"] = not getattr(args, "no_timestamp", False)
     # The options set by a flag or the config file rather than by DEFAULTS.
@@ -191,7 +178,7 @@ def _resolve_options(args) -> dict:
 def _existing(path_str: str) -> Path:
     path = Path(path_str)
     if not path.is_file():
-        raise UsageError(f"file not found: {path}")
+        raise InputError(f"file not found: {path}")
     return path
 
 
@@ -199,8 +186,8 @@ def _load_dataset(path_str: str) -> Dataset:
     path = _existing(path_str)
     try:
         return remap_labels(load_ucr_file(path))
-    except (DataFormatError, UnsupportedLabelError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_split(args) -> DataSplits:
@@ -208,8 +195,8 @@ def _load_split(args) -> DataSplits:
     test_ds = _load_dataset(args.test)
     try:
         return DataSplits(train_ds, *split_test(test_ds))
-    except (SplitError, DataFormatError) as exc:
-        raise UsageError(f"{args.test}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{args.test}: {exc}") from None
 
 
 def _parse_alphas(spec_str: str) -> list[float]:
@@ -227,9 +214,9 @@ def _parse_alphas(spec_str: str) -> list[float]:
         else:
             values = [float(x) for x in spec_str.split(",") if x.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --alphas value {spec_str!r}: {exc}") from None
+        raise InputError(f"bad --alphas value {spec_str!r}: {exc}") from None
     if not values:
-        raise UsageError("--alphas produced an empty threshold list")
+        raise InputError("--alphas produced an empty threshold list")
     return values
 
 

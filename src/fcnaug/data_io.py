@@ -165,7 +165,12 @@ def serialize_ucr(dataset: Dataset) -> str:
 
 
 def load_ucr_file(path: str | Path) -> Dataset:
-    return parse_ucr(Path(path).read_text())
+    """Parse a UCR file; text that is not UTF-8 raises :class:`DataParseError`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataParseError(f"not UTF-8 text ({exc})") from None
+    return parse_ucr(text)
 
 
 def remap_labels(dataset: Dataset) -> Dataset:

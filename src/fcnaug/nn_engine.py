@@ -395,6 +395,11 @@ def softmax_batch(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def confidence_margins(probs: np.ndarray) -> np.ndarray:
+    """Per-row binary confidence margin |p0 - p1| of (B, 2) probabilities."""
+    return np.abs(probs[:, 0] - probs[:, 1])
+
+
 def softmax(logits) -> PredictionDist:
     """Stable softmax of one logit vector, with the margin filled for K = 2."""
     z = np.asarray(logits, dtype=np.float64)
@@ -402,9 +407,9 @@ def softmax(logits) -> PredictionDist:
         raise ShapeError("softmax expects a 1-D vector of at least 2 logits")
     if not np.isfinite(z).all():
         raise NumericError("softmax input contains non-finite logits")
-    probs = softmax_batch(z[None, :])[0]
-    alpha = float(abs(probs[0] - probs[1])) if z.shape[0] == 2 else None
-    return PredictionDist(probs, alpha)
+    probs = softmax_batch(z[None, :])
+    alpha = float(confidence_margins(probs)[0]) if z.shape[0] == 2 else None
+    return PredictionDist(probs[0], alpha)
 
 
 def xent_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample, check_window_fraction
+from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample, check_window
 from .data_io import Dataset, TimeSeriesSample
 from .errors import DataFormatError, ParameterError
-from .nn_engine import FcnParams, PredictionDist, softmax_batch
+from .nn_engine import FcnParams, PredictionDist, confidence_margins, softmax_batch
 from .rng import RngStream, derive_seed
 from .training import TrainConfig, TrainedModel, evaluate, infer_logits, train
 
@@ -91,7 +91,7 @@ def confidence_alpha(dist: PredictionDist) -> float:
     """Absolute difference of the two class probabilities."""
     if dist.probs.shape[0] != 2 or dist.alpha is None:
         raise ParameterError("confidence margin is only defined for 2-class distributions")
-    return float(abs(dist.probs[0] - dist.probs[1]))
+    return dist.alpha
 
 
 def check_threshold(threshold: float) -> None:
@@ -102,8 +102,7 @@ def check_threshold(threshold: float) -> None:
 
 def predict_alphas(params: FcnParams, probe_set: Dataset) -> np.ndarray:
     """Per-sample confidence margins of infer-mode predictions."""
-    probs = softmax_batch(infer_logits(params, probe_set.values_matrix()))
-    return np.abs(probs[:, 0] - probs[:, 1])
+    return confidence_margins(softmax_batch(infer_logits(params, probe_set.values_matrix())))
 
 
 def select_low_confidence(
@@ -125,10 +124,10 @@ def augment_selected(
     """Two augmentations of each selected probe sample, in selection order.
 
     Sample ``idx`` draws from ``rng.child("augment", idx)``, so its pair does
-    not depend on which other samples were selected.  The fraction is checked
-    even when nothing was selected.
+    not depend on which other samples were selected.  The fraction and its
+    window are checked even when nothing was selected.
     """
-    check_window_fraction(fraction)
+    check_window(probe_set.series_len, fraction)
     augmented = []
     for idx in selection.indices:
         augmented.extend(
@@ -139,7 +138,7 @@ def augment_selected(
 def check_run(
     splits: DataSplits, thresholds: list[float], fraction: float, val_mode: str
 ) -> tuple[Dataset, Dataset]:
-    """Check a run's thresholds, window fraction and validation mode.
+    """Check a run's thresholds, window fraction and window, and validation mode.
 
     Returns the (training, validation) sets to train on.  The validation set
     is the probe half (``testa``, the default) or, under ``holdout:F``, the
@@ -148,8 +147,8 @@ def check_run(
     """
     for threshold in thresholds:
         check_threshold(threshold)
-    check_window_fraction(fraction)
     train_set = splits.train
+    check_window(train_set.series_len, fraction)
     if val_mode == VAL_TESTA:
         return train_set, splits.test_a
     if not val_mode.startswith(VAL_HOLDOUT_PREFIX):

@@ -8,7 +8,7 @@ produce byte-identical files.  Timestamps are optional for that reason.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,14 +57,11 @@ def write_json(path: str | Path, doc) -> None:
 
 
 def report_csv(report: ExperimentReport) -> str:
-    """One-row CSV rendering of a report (config snapshot omitted)."""
-    fields = [
-        "mode", "alpha_threshold", "selected_count", "augmented_count",
-        "train_size_final", "accuracy", "loss", "seed", "best_epoch",
-    ]
-    doc = asdict(report)
-    values = [_csv_cell(doc[f]) for f in fields]
-    return ",".join(fields) + "\n" + ",".join(values) + "\n"
+    """One-row CSV rendering of a report's fields (config snapshot omitted)."""
+    columns = [f.name for f in fields(report) if f.name != "config"]
+    # A None cell is empty; str() of a float is its shortest round-trip repr.
+    values = ["" if v is None else str(v) for v in (getattr(report, c) for c in columns)]
+    return ",".join(columns) + "\n" + ",".join(values) + "\n"
 
 
 def sweep_table_csv(reports: list[ExperimentReport]) -> str:
@@ -95,14 +92,6 @@ def curve_csv(reports: list[ExperimentReport], metric: str) -> str:
     """The :func:`curve_points` as an ``alpha,<metric>`` CSV."""
     lines = [f"alpha,{metric}"] + [f"{a!r},{v!r}" for a, v in curve_points(reports, metric)]
     return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def svg_line_chart(

@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from fcnaug import cli, errors
 from fcnaug.cli import main
 from fcnaug.data_io import parse_ucr, serialize_ucr
+from fcnaug.pipeline import ExperimentReport
 from fcnaug.report import REPORT_SCHEMA
 
 from helpers import make_synthetic
@@ -29,6 +32,13 @@ def run_cli(*argv) -> int:
 
 def read_json(path: Path):
     return json.loads(path.read_text())
+
+
+def assert_clean_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
 
 
 def assert_out_under_a_file_exits_1(tmp_path, capsys, *argv):
@@ -239,6 +249,7 @@ class TestSweepCommand:
 @pytest.mark.parametrize("flags, config, message", [
     (["--val", "bogus"], {}, "validation mode"),
     ([], {"fraction": 1.5}, "window fraction"),
+    ([], {"fraction": 0.1}, "window"),
 ])
 def test_usage_error_creates_no_out(data_files, tmp_path, capsys, no_training,
                                     command, flags, config, message):
@@ -416,3 +427,39 @@ class TestConfigFile:
                        "--config", config, "--epochs", 1, "--out", out)
         assert code == 0
         assert read_json(out / "selective.report.json")["config"]["window_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("flag", ["--train", "--config"])
+def test_non_utf8_file_exits_2(data_files, tmp_path, capsys, no_training, flag):
+    train, test = data_files
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff")
+    inputs = {"--train": train, "--test": test, flag: bad}
+    code = run_cli("baseline", *[arg for pair in inputs.items() for arg in pair],
+                   "--out", tmp_path / "o")
+    assert code == 2
+    assert "latin1.txt" in assert_clean_error(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+# The InputError family exits 2; every other package error, and OSError, exits 1.
+INPUT_ERRORS = {"InputError", "DataFormatError", "DataParseError", "UnsupportedLabelError",
+                "SplitError", "ParameterError"}
+ERROR_CLASSES = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, errors.FcnAugError)]
+
+
+@pytest.mark.parametrize("error", [*ERROR_CLASSES, OSError], ids=lambda cls: cls.__name__)
+def test_error_type_sets_exit_status(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("it failed")
+
+    monkeypatch.setattr(cli, "cmd_evaluate", fail)
+    code = run_cli("evaluate", "--checkpoint", "model.json", "--data", "data.tsv")
+    assert code == (2 if error.__name__ in INPUT_ERRORS else 1)
+    assert assert_clean_error(capsys) == "error: it failed\n"
+
+
+def test_report_schema_requires_every_report_field():
+    names = [f.name for f in fields(ExperimentReport)]
+    assert REPORT_SCHEMA["required"] == names + ["tool_version"]

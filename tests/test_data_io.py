@@ -49,6 +49,12 @@ class TestParseUcr:
         assert ds.series_len == 96
         assert set(s.label for s in ds.samples) == {-1, 1}
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"1\t0.5\t\xff\n")
+        with pytest.raises(DataParseError, match="not UTF-8"):
+            load_ucr_file(path)
+
     def test_order_preserved(self):
         ds = parse_ucr("1 10 20\n-1 30 40\n1 50 60")
         assert [s.values[0] for s in ds.samples] == [10, 30, 50]

@@ -261,6 +261,7 @@ class TestCheckRun:
     @pytest.mark.parametrize("thresholds, fraction, val_mode, message", [
         ([0.5, 1.2], 0.7, "testa", "alpha"),
         ([], 0.0, "testa", "window fraction"),
+        ([], 0.1, "testa", "2-point window"),  # floor(0.1 * 24) = 2 < 4 spline knots
     ])
     def test_rejects(self, splits, thresholds, fraction, val_mode, message):
         with pytest.raises(ParameterError, match=message):
