@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import TimeSeriesSample, znormalize
+from .data_io import ZNormalized, znormalize
 from .errors import InterpolationError, ParameterError
 from .rng import RngStream
 
@@ -139,18 +139,16 @@ def spline_resample(segment, target_len: int) -> np.ndarray:
 
 
 def augment_sample(
-    sample: TimeSeriesSample, fraction: float, rng: RngStream
-) -> tuple[TimeSeriesSample, TimeSeriesSample]:
-    """Two independent slice -> upsample -> z-normalize passes over one sample.
+    series: np.ndarray, fraction: float, rng: RngStream
+) -> tuple[ZNormalized, ZNormalized]:
+    """Two independent slice -> upsample -> z-normalize passes over one series.
 
-    Both outputs have the source length and label.  The two windows are drawn
+    Both outputs have the source length.  The two windows are drawn
     independently and may coincide by chance.
     """
-    n = sample.values.shape[0]
+    n = len(series)
     out = []
     for p in range(2):
-        window = slice_window(sample.values, fraction, rng.child("window", p))
-        resampled = spline_resample(window.values, n)
-        normalized, degenerate = znormalize(resampled)
-        out.append(TimeSeriesSample(normalized, sample.label, degenerate))
+        window = slice_window(series, fraction, rng.child("window", p))
+        out.append(znormalize(spline_resample(window.values, n)))
     return out[0], out[1]

@@ -300,7 +300,8 @@ def cmd_augment(args) -> int:
     model = load_checkpoint(_existing(args.checkpoint))
     probe = _load_dataset(args.probe)
     selection = select_low_confidence(model.params, probe, args.alpha)
-    augmented = augment_selected(probe, selection, opts["fraction"], RngStream(opts["seed"]))
+    augmented, labels = augment_selected(
+        probe, selection, opts["fraction"], RngStream(opts["seed"]))
     out = _outdir(opts)
     write_json(out / "augment.selection.json", {
         "threshold": selection.threshold,
@@ -310,8 +311,8 @@ def cmd_augment(args) -> int:
     })
     augmented_path = out / "augment.augmented.tsv"
     if augmented:
-        expanded = Dataset(tuple(augmented), probe.series_len, probe.class_count)
-        augmented_path.write_text(serialize_ucr(expanded))
+        rows = Dataset([a.values for a in augmented], labels, probe.class_count)
+        augmented_path.write_text(serialize_ucr(rows))
     else:
         augmented_path.write_text("")
         print("warning: no samples fell below the threshold; wrote an empty file",

@@ -1,18 +1,20 @@
 """UCR-format dataset parsing, preprocessing, and the probe/eval test split.
 
 The on-disk format is one sample per line: an integer class label followed
-by the series values, separated by tabs, commas, or runs of spaces.  Labels
--1/1 (the raw ECG200 convention) are remapped to 0/1 by
-:func:`remap_labels` before anything downstream sees them; 0/1 is the only
-other accepted convention.
+by the series values, separated by tabs, commas, or runs of spaces.  A
+:class:`Dataset` holds a file as two arrays, an (n, L) value matrix and n
+labels, in file order; splits and subsets index them.  Labels -1/1 (the raw
+ECG200 convention) are remapped to 0/1 by :func:`remap_labels` before
+anything downstream sees them; 0/1 is the only other accepted convention.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,98 +33,62 @@ DEGENERATE_STD = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class TimeSeriesSample:
-    """One labeled univariate series.
+class Dataset:
+    """Equal-length labeled series: (n, L) float64 values and (n,) int64 labels.
 
-    ``degenerate`` marks samples produced by z-normalizing a flat series
-    (they are all-zero by convention rather than an error).
+    The dataset keeps read-only copies of both arrays, so neither the caller
+    nor a consumer can change it.  Row order is preserved exactly as read
+    from file; the probe/eval split depends on it.
     """
 
     values: np.ndarray
-    label: int
-    degenerate: bool = False
+    labels: np.ndarray
+    class_count: int
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)  # own copy: samples are immutable
-        if values.ndim != 1 or values.size == 0:
-            raise DataFormatError("sample values must be a non-empty 1-D sequence")
+        values = np.array(self.values, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.int64)
+        if values.ndim != 2 or values.size == 0:
+            raise DataFormatError("dataset values must be a non-empty (samples, length) matrix")
+        if labels.shape != values.shape[:1]:
+            raise DataFormatError(f"{labels.size} labels for {values.shape[0]} samples")
         if not np.isfinite(values).all():
-            raise DataParseError("sample contains non-finite values")
+            raise DataParseError("dataset contains non-finite values")
+        if self.class_count <= 0:
+            raise DataFormatError("class_count must be positive")
+        over = np.flatnonzero(labels >= self.class_count)
+        if over.size:
+            i = int(over[0])
+            raise DataFormatError(
+                f"sample {i + 1} has label {labels[i]} >= class_count {self.class_count}"
+            )
         values.setflags(write=False)
+        labels.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "labels", labels)
 
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """An ordered collection of equal-length samples.
-
-    Sample order is preserved exactly as read from file; the probe/eval
-    split depends on it.
-    """
-
-    samples: tuple[TimeSeriesSample, ...] = field(default_factory=tuple)
-    series_len: int = 0
-    class_count: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise DataFormatError("dataset must contain at least one sample")
-        if self.series_len <= 0 or self.class_count <= 0:
-            raise DataFormatError("series_len and class_count must be positive")
-        for i, s in enumerate(self.samples):
-            if s.values.shape[0] != self.series_len:
-                raise DataFormatError(
-                    f"sample {i + 1} has length {s.values.shape[0]}, "
-                    f"expected {self.series_len}"
-                )
-            if s.label >= self.class_count:
-                raise DataFormatError(
-                    f"sample {i + 1} has label {s.label} >= class_count {self.class_count}"
-                )
-
-    @classmethod
-    def from_samples(
-        cls, samples, class_count: int | None = None
-    ) -> "Dataset":
-        """Build a dataset, deriving metadata from the samples.
-
-        ``class_count`` defaults to max(label)+1, and to at least 2, so raw
-        -1/1 labels fit and :func:`remap_labels` can name any other label.
-        """
-        samples = tuple(samples)
-        if not samples:
-            raise DataFormatError("dataset must contain at least one sample")
-        if class_count is None:
-            class_count = max(max(s.label for s in samples) + 1, 2)
-        return cls(samples, samples[0].values.shape[0], class_count)
+    @property
+    def series_len(self) -> int:
+        return self.values.shape[1]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.values.shape[0]
 
-    def values_matrix(self) -> np.ndarray:
-        """All series stacked into an (n_samples, series_len) float64 array."""
-        return np.stack([s.values for s in self.samples])
-
-    def labels_array(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def subset(self, indices) -> "Dataset":
-        """Samples at the given positions, keeping this dataset's class_count."""
-        picked = tuple(self.samples[i] for i in indices)
-        return Dataset(picked, self.series_len, self.class_count)
+    def subset(self, rows) -> "Dataset":
+        """The rows at an index sequence or slice, keeping this dataset's class_count."""
+        return Dataset(self.values[rows], self.labels[rows], self.class_count)
 
 
 def parse_ucr(text: str) -> Dataset:
     """Parse UCR-style text: label first, then the series values.
 
     Raw labels are kept as parsed (-1 is accepted and remapped later by
-    :func:`remap_labels`).  Ragged lines, non-numeric fields, and empty
-    input raise with the offending line named.
+    :func:`remap_labels`), and ``class_count`` is max(label)+1, at least 2,
+    so raw -1/1 labels fit and :func:`remap_labels` can name any other
+    label.  Ragged lines, non-numeric fields, and empty input raise with the
+    offending line named.
     """
-    series_len = None
-    samples = []
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -139,17 +105,18 @@ def parse_ucr(text: str) -> Dataset:
         label_f = numbers[0]
         if label_f != int(label_f):
             raise DataParseError(f"line {lineno}: label {fields[0]!r} is not an integer")
-        values = numbers[1:]
-        if series_len is None:
-            series_len = values.shape[0]
-        elif values.shape[0] != series_len:
+        if abs(label_f) >= 2.0**63:
+            raise DataParseError(f"line {lineno}: label {fields[0]!r} does not fit in 64 bits")
+        if rows and numbers.size != rows[0].size:
             raise DataFormatError(
-                f"line {lineno}: {values.shape[0]} values, expected {series_len}"
+                f"line {lineno}: {numbers.size - 1} values, expected {rows[0].size - 1}"
             )
-        samples.append(TimeSeriesSample(values, int(label_f)))
-    if not samples:
+        rows.append(numbers)
+    if not rows:
         raise DataFormatError("empty input: no data lines found")
-    return Dataset.from_samples(samples)
+    table = np.stack(rows)
+    labels = table[:, 0].astype(np.int64)
+    return Dataset(table[:, 1:], labels, max(int(labels.max()) + 1, 2))
 
 
 def serialize_ucr(dataset: Dataset) -> str:
@@ -158,9 +125,8 @@ def serialize_ucr(dataset: Dataset) -> str:
     Values are written with shortest-roundtrip float formatting, so
     parse(serialize(d)) reproduces d exactly.
     """
-    lines = []
-    for s in dataset.samples:
-        lines.append("\t".join([str(s.label), *map(repr, s.values.tolist())]))
+    lines = ["\t".join([str(label), *map(repr, row.tolist())])
+             for label, row in zip(dataset.labels.tolist(), dataset.values)]
     return "\n".join(lines) + "\n"
 
 
@@ -180,30 +146,36 @@ def remap_labels(dataset: Dataset) -> Dataset:
     2 of UCR's common 1/2 convention, raises :class:`UnsupportedLabelError`,
     and so do labels -1 and 0 together, which would fall into one class.
     """
-    mapping = {-1: 0, 0: 0, 1: 1}
-    remapped = []
-    for i, s in enumerate(dataset.samples):
-        if s.label not in mapping:
-            raise UnsupportedLabelError(
-                f"sample {i + 1} has unsupported label {s.label}; "
-                "the accepted label conventions are -1/1 and 0/1"
-            )
-        remapped.append(TimeSeriesSample(s.values, mapping[s.label], s.degenerate))
-    labels = {s.label for s in dataset.samples}
-    if {-1, 0} <= labels:
+    labels = dataset.labels
+    unsupported = np.flatnonzero(np.abs(labels) > 1)
+    if unsupported.size:
+        i = int(unsupported[0])
         raise UnsupportedLabelError(
-            f"labels {sorted(labels)} mix the -1/1 and 0/1 conventions; "
+            f"sample {i + 1} has unsupported label {labels[i]}; "
+            "the accepted label conventions are -1/1 and 0/1"
+        )
+    found = set(labels.tolist())
+    if {-1, 0} <= found:
+        raise UnsupportedLabelError(
+            f"labels {sorted(found)} mix the -1/1 and 0/1 conventions; "
             "-1 and 0 would merge into one class"
         )
-    return Dataset(tuple(remapped), dataset.series_len, 2)
+    return Dataset(dataset.values, np.maximum(labels, 0), 2)
 
 
-def znormalize(values) -> tuple[np.ndarray, bool]:
+class ZNormalized(NamedTuple):
+    """A z-normalized series; ``degenerate`` marks a flat source, normalized to zeros."""
+
+    values: np.ndarray
+    degenerate: bool
+
+
+def znormalize(values) -> ZNormalized:
     """Subtract the mean and divide by the population (divide-by-n) std.
 
-    Returns (normalized, degenerate).  A flat series (population std below
-    ``DEGENERATE_STD``) normalizes to all zeros with the flag set instead
-    of raising, so a sliced window of a flat region cannot abort a run.
+    Returns ``ZNormalized(values, degenerate)``.  A flat series (population
+    std below ``DEGENERATE_STD``) normalizes to all zeros with the flag set
+    instead of raising, so a sliced window of a flat region cannot abort a run.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -215,9 +187,9 @@ def znormalize(values) -> tuple[np.ndarray, bool]:
     centered = values - np.add.reduce(values, axis=None) / n
     std = math.sqrt(np.add.reduce(centered * centered, axis=None) / n)
     if std < DEGENERATE_STD:
-        return np.zeros_like(values), True
+        return ZNormalized(np.zeros_like(values), True)
     centered /= std
-    return centered, False
+    return ZNormalized(centered, False)
 
 
 def split_test(test: Dataset) -> tuple[Dataset, Dataset]:
@@ -230,6 +202,4 @@ def split_test(test: Dataset) -> tuple[Dataset, Dataset]:
     if n % 2 != 0:
         raise SplitError(f"test set has {n} samples; an even count is required")
     half = n // 2
-    first = Dataset(test.samples[:half], test.series_len, test.class_count)
-    second = Dataset(test.samples[half:], test.series_len, test.class_count)
-    return first, second
+    return test.subset(slice(half)), test.subset(slice(half, n))

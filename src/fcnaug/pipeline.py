@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augmentation import DEFAULT_WINDOW_FRACTION, augment_sample, check_window
-from .data_io import Dataset, TimeSeriesSample
+from .data_io import Dataset, ZNormalized
 from .errors import DataFormatError, ParameterError
 from .nn_engine import FcnParams, PredictionDist, confidence_margins, softmax_batch
 from .rng import RngStream, derive_seed
@@ -83,7 +83,7 @@ class RunArtifacts:
     model: TrainedModel
     initial_model: TrainedModel
     selection: SelectionResult | None
-    augmented: list
+    augmented: list[ZNormalized]
     expanded_train: Dataset
 
 
@@ -102,7 +102,7 @@ def check_threshold(threshold: float) -> None:
 
 def predict_alphas(params: FcnParams, probe_set: Dataset) -> np.ndarray:
     """Per-sample confidence margins of infer-mode predictions."""
-    return confidence_margins(softmax_batch(infer_logits(params, probe_set.values_matrix())))
+    return confidence_margins(softmax_batch(infer_logits(params, probe_set.values)))
 
 
 def select_low_confidence(
@@ -120,19 +120,22 @@ def select_low_confidence(
 
 def augment_selected(
     probe_set: Dataset, selection: SelectionResult, fraction: float, rng: RngStream
-) -> list[TimeSeriesSample]:
+) -> tuple[list[ZNormalized], np.ndarray]:
     """Two augmentations of each selected probe sample, in selection order.
 
-    Sample ``idx`` draws from ``rng.child("augment", idx)``, so its pair does
-    not depend on which other samples were selected.  The fraction and its
-    window are checked even when nothing was selected.
+    Returns them with their labels, each selected sample's label twice, so
+    that ``[a.values for a in augmented]`` and the labels are the rows to
+    add to a dataset.  Sample ``idx`` draws from
+    ``rng.child("augment", idx)``, so its pair does not depend on which other
+    samples were selected.  The fraction and its window are checked even when
+    nothing was selected.
     """
     check_window(probe_set.series_len, fraction)
     augmented = []
     for idx in selection.indices:
         augmented.extend(
-            augment_sample(probe_set.samples[idx], fraction, rng.child("augment", idx)))
-    return augmented
+            augment_sample(probe_set.values[idx], fraction, rng.child("augment", idx)))
+    return augmented, np.repeat(probe_set.labels[list(selection.indices)], 2)
 
 
 def check_run(
@@ -159,12 +162,11 @@ def check_run(
         raise ParameterError(f"bad holdout fraction in {val_mode!r}") from None
     if not 0.0 < frac < 1.0:
         raise ParameterError("holdout fraction must lie strictly between 0 and 1")
-    k = int(frac * len(train_set))
-    if k < 1 or k >= len(train_set):
+    n = len(train_set)
+    k = int(frac * n)
+    if k < 1 or k >= n:
         raise ParameterError(f"holdout of {k} samples is not usable")
-    keep = train_set.subset(range(len(train_set) - k))
-    held = train_set.subset(range(len(train_set) - k, len(train_set)))
-    return keep, held
+    return train_set.subset(slice(n - k)), train_set.subset(slice(n - k, n))
 
 
 def _report(
@@ -222,9 +224,9 @@ def _run(
     selection, augmented, expanded = None, [], train_used
     if threshold is not None:
         selection = select_low_confidence(initial.params, test_a, threshold)
-        augmented = augment_selected(test_a, selection, fraction, rng)
-        expanded = Dataset(train_used.samples + tuple(augmented),
-                           train_used.series_len, train_used.class_count)
+        augmented, labels = augment_selected(test_a, selection, fraction, rng)
+        expanded = Dataset(np.vstack([train_used.values, *(a.values for a in augmented)]),
+                           np.concatenate([train_used.labels, labels]), train_used.class_count)
         model = train(cfg, expanded, val_set, rng.child("train", "retrain"))
     report = _report(
         cfg, model, len(expanded), test_b, val_mode, selection, len(augmented), fraction

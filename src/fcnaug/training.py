@@ -176,8 +176,8 @@ def evaluate(params: FcnParams, data: Dataset) -> tuple[float, float]:
     Prediction is the argmax of the class probabilities with ties broken
     toward class 0.
     """
-    logits = infer_logits(params, data.values_matrix())
-    labels = data.labels_array()
+    logits = infer_logits(params, data.values)
+    labels = data.labels
     loss, _ = xent_loss(logits, labels)
     probs = softmax_batch(logits)
     predictions = probs.argmax(axis=1)  # argmax takes the first max: ties -> class 0
@@ -205,8 +205,8 @@ def train(
     adam = AdamState()
     plateau = PlateauState(np.inf, 0, cfg.initial_lr)
 
-    x_all = train_set.values_matrix()
-    y_all = train_set.labels_array()
+    x_all = train_set.values
+    y_all = train_set.labels
     n = len(train_set)
 
     best_params = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fcnaug.data_io import Dataset, TimeSeriesSample, znormalize
+from fcnaug.data_io import Dataset, znormalize
 from fcnaug.nn_engine import TRAIN, FcnParams, fcn_backward, fcn_forward, xent_loss
 
 FD_STEP = 1e-5
@@ -13,35 +13,28 @@ FD_REL_TOL = 1e-4
 FD_ABS_FLOOR = 1e-9
 
 
-def dataset_from_arrays(values, labels, class_count: int | None = None) -> Dataset:
-    """A dataset with one sample per row of ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    samples = [TimeSeriesSample(row, int(lab)) for row, lab in zip(values, labels)]
-    return Dataset.from_samples(samples, class_count)
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and bit-identical float64 values (so -0.0 differs from 0.0)."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Exact equality: metadata, order, labels, and bit-identical values."""
-    if (len(a), a.series_len, a.class_count) != (len(b), b.series_len, b.class_count):
-        return False
-    return all(
-        s.label == t.label and np.array_equal(s.values, t.values)
-        for s, t in zip(a.samples, b.samples)
-    )
+    """Exact equality: class count, labels in order, and bit-identical values."""
+    return (a.class_count == b.class_count and np.array_equal(a.labels, b.labels)
+            and bits_equal(a.values, b.values))
 
 
 def make_synthetic(n_per_class: int = 10, length: int = 24, seed: int = 0) -> Dataset:
     """Two separable classes: smooth sine (0) vs. clipped square wave (1)."""
     gen = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, length)
-    samples = []
+    rows = []
     for _ in range(n_per_class):
         smooth = np.sin(2 * np.pi * (2 * t + gen.uniform())) + 0.1 * gen.standard_normal(length)
-        samples.append(TimeSeriesSample(znormalize(smooth)[0], 0))
         square = np.sign(np.sin(2 * np.pi * (3 * t + gen.uniform())))
         square = square + 0.1 * gen.standard_normal(length)
-        samples.append(TimeSeriesSample(znormalize(square)[0], 1))
-    return Dataset.from_samples(samples, class_count=2)
+        rows += [znormalize(smooth).values, znormalize(square).values]
+    return Dataset(np.array(rows), [0, 1] * n_per_class, 2)
 
 
 def fd_gradient_ok(analytic: float, numeric: float) -> bool:

@@ -16,7 +16,6 @@ from fcnaug.augmentation import (
     spline_resample,
     window_length,
 )
-from fcnaug.data_io import TimeSeriesSample
 from fcnaug.errors import InterpolationError, ParameterError
 from fcnaug.rng import RngStream
 
@@ -193,13 +192,12 @@ class TestAugmentSample:
         gen = np.random.default_rng(9)
         values = gen.standard_normal(96)
         values = (values - values.mean()) / values.std()
-        return TimeSeriesSample(values, 1)
+        return values
 
-    def test_pair_shape_label_normalization(self, sample):
+    def test_pair_shape_normalization(self, sample):
         a, b = augment_sample(sample, 0.7, RngStream(3))
         for out in (a, b):
             assert out.values.shape == (96,)
-            assert out.label == 1
             assert abs(out.values.mean()) < 1e-9
             assert abs(out.values.std() - 1.0) < 1e-9
             assert not out.degenerate
@@ -220,19 +218,17 @@ class TestAugmentSample:
         assert differs > 0
 
     def test_flat_sample_degenerate(self):
-        flat = TimeSeriesSample(np.full(96, 2.5), 0)
-        a, b = augment_sample(flat, 0.7, RngStream(1))
+        a, b = augment_sample(np.full(96, 2.5), 0.7, RngStream(1))
         for out in (a, b):
             assert out.degenerate
             np.testing.assert_array_equal(out.values, np.zeros(96))
 
     def test_window_too_short_propagates(self):
         # floor(0.5 * 4) = 2 passes slicing but is below the 4-knot spline minimum
-        tiny = TimeSeriesSample(np.arange(4.0), 0)
         with pytest.raises(InterpolationError):
-            augment_sample(tiny, 0.5, RngStream(0))
+            augment_sample(np.arange(4.0), 0.5, RngStream(0))
         with pytest.raises(ParameterError):
-            augment_sample(TimeSeriesSample(np.arange(10.0), 0), 0.1, RngStream(0))
+            augment_sample(np.arange(10.0), 0.1, RngStream(0))
 
 
 class TestCoverageProperty:

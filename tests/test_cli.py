@@ -293,6 +293,9 @@ class TestAugmentCommand:
         emitted = parse_ucr((out / "augment.augmented.tsv").read_text())
         assert len(emitted) == selection["augmented_count"]
         assert emitted.series_len == 24
+        probe_labels = parse_ucr(Path(test).read_text()).labels
+        assert emitted.labels.tolist() == [
+            int(probe_labels[i]) for i in selection["indices"] for _ in range(2)]
 
     def test_alpha_zero_writes_empty_with_warning(self, checkpoint, data_files,
                                                   tmp_path, capsys):
@@ -333,11 +336,8 @@ class TestEvaluateCommand:
         report = read_json(run_dir / "baseline.report.json")
         # rebuild the eval half exactly as the pipeline does
         full = parse_ucr(Path(test).read_text())
-        half = full.samples[len(full) // 2 :]
         test_b_path = tmp_path / "test_b.tsv"
-        from fcnaug.data_io import Dataset
-        test_b_path.write_text(
-            serialize_ucr(Dataset(half, full.series_len, full.class_count)))
+        test_b_path.write_text(serialize_ucr(full.subset(slice(len(full) // 2, None))))
         code = run_cli("evaluate", "--checkpoint", run_dir / "baseline.ckpt.json",
                        "--data", test_b_path, "--format", "json")
         assert code == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fcnaug.data_io import (
     DEGENERATE_STD,
     Dataset,
-    TimeSeriesSample,
     load_ucr_file,
     parse_ucr,
     remap_labels,
@@ -22,32 +21,33 @@ from fcnaug.errors import (
     SplitError,
     UnsupportedLabelError,
 )
+from fcnaug.pipeline import DataSplits, check_run
 
-from helpers import dataset_from_arrays, datasets_equal
+from helpers import bits_equal, datasets_equal
 
 
 class TestParseUcr:
     def test_single_line_space_separated(self):
         ds = parse_ucr("1 0.1 -0.2")
         assert len(ds) == 1
-        assert ds.samples[0].label == 1
-        np.testing.assert_array_equal(ds.samples[0].values, [0.1, -0.2])
+        assert ds.labels.tolist() == [1]
+        np.testing.assert_array_equal(ds.values, [[0.1, -0.2]])
 
     @pytest.mark.parametrize("sep", ["\t", ",", "  ", " , "])
     def test_separator_variants(self, sep):
         ds = parse_ucr(sep.join(["-1", "1.5", "2.5", "3.5"]))
-        assert ds.samples[0].label == -1
-        np.testing.assert_array_equal(ds.samples[0].values, [1.5, 2.5, 3.5])
+        assert ds.labels.tolist() == [-1]
+        np.testing.assert_array_equal(ds.values, [[1.5, 2.5, 3.5]])
 
     def test_scientific_notation_labels(self):
         ds = parse_ucr("1.0000000e+00\t0.5\t0.25\n-1.0000000e+00\t0.125\t0.5")
-        assert [s.label for s in ds.samples] == [1, -1]
+        assert ds.labels.tolist() == [1, -1]
 
     def test_ecg200_train_file(self, ecg200_paths):
         ds = load_ucr_file(ecg200_paths[0])
         assert len(ds) == 100
         assert ds.series_len == 96
-        assert set(s.label for s in ds.samples) == {-1, 1}
+        assert set(ds.labels.tolist()) == {-1, 1}
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "latin1.tsv"
@@ -57,7 +57,7 @@ class TestParseUcr:
 
     def test_order_preserved(self):
         ds = parse_ucr("1 10 20\n-1 30 40\n1 50 60")
-        assert [s.values[0] for s in ds.samples] == [10, 30, 50]
+        assert ds.values[:, 0].tolist() == [10, 30, 50]
 
     def test_ragged_lines_rejected(self):
         with pytest.raises(DataFormatError, match="line 2"):
@@ -89,6 +89,40 @@ class TestParseUcr:
         ds = parse_ucr("\n1 1 2\n\n-1 3 4\n")
         assert len(ds) == 2
 
+    @pytest.mark.parametrize("text, class_count", [
+        ("-1 1\n-1 2", 2), ("0 1", 2), ("1 1\n3 2", 4),
+    ])
+    def test_class_count_covers_labels(self, text, class_count):
+        assert parse_ucr(text).class_count == class_count
+
+    def test_label_beyond_int64_rejected(self):
+        with pytest.raises(DataParseError, match="line 2: label '1e20' does not fit"):
+            parse_ucr("1 0.5\n1e20 0.5")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1", DataFormatError, "line 1: expected a label and at least one value"),
+        ("1 0.5\n1 0.5 spam", DataParseError,
+         "line 2: non-numeric field (could not convert string to float: 'spam')"),
+        ("2 1\n-1 nan", DataParseError, "line 2: non-finite value"),
+        ("1.5 0.5 0.25", DataParseError, "line 1: label '1.5' is not an integer"),
+        ("1 0 0\n\n1 0", DataFormatError, "line 3: 1 values, expected 2"),
+        ("\n  \n", DataFormatError, "empty input: no data lines found"),
+    ])
+    def test_error_messages(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_ucr(text)
+        assert str(info.value) == message
+
+
+@st.composite
+def random_datasets(draw):
+    """Datasets of 1-20 series of 1-30 finite values, -0.0 included, labels -1/0/1."""
+    n, length = draw(st.integers(1, 20)), draw(st.integers(1, 30))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+    values = draw(st.lists(finite, min_size=n * length, max_size=n * length))
+    labels = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    return Dataset(np.array(values).reshape(n, length), labels, 2)
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse(self, ecg200_paths):
@@ -98,7 +132,14 @@ class TestRoundTrip:
 
     def test_random_values_roundtrip(self):
         gen = np.random.default_rng(3)
-        ds = dataset_from_arrays(gen.standard_normal((7, 11)), [0, 1, 0, 1, 1, 0, 1])
+        ds = Dataset(gen.standard_normal((7, 11)), [0, 1, 0, 1, 1, 0, 1], 2)
+        assert datasets_equal(ds, parse_ucr(serialize_ucr(ds)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=random_datasets())
+    @example(ds=Dataset([[-0.0, 0.0, -0.0]], [-1], 2))
+    @example(ds=Dataset([[5e-324, -1.7976931348623157e308]], [0], 2))
+    def test_roundtrip_property(self, ds):
         assert datasets_equal(ds, parse_ucr(serialize_ucr(ds)))
 
 
@@ -106,13 +147,13 @@ class TestRemapLabels:
     def test_raw_labels(self):
         ds = parse_ucr("-1 1 2\n1 3 4\n-1 5 6")
         out = remap_labels(ds)
-        assert [s.label for s in out.samples] == [0, 1, 0]
+        assert out.labels.tolist() == [0, 1, 0]
         assert out.class_count == 2
 
     def test_identity_on_preprocessed(self):
         ds = parse_ucr("0 1 2\n1 3 4")
         out = remap_labels(ds)
-        assert [s.label for s in out.samples] == [0, 1]
+        assert out.labels.tolist() == [0, 1]
 
     def test_idempotent(self):
         ds = remap_labels(parse_ucr("-1 1 2\n1 3 4"))
@@ -122,19 +163,26 @@ class TestRemapLabels:
     def test_values_untouched(self):
         ds = parse_ucr("-1 1.25 -2.5")
         out = remap_labels(ds)
-        np.testing.assert_array_equal(out.samples[0].values, [1.25, -2.5])
+        np.testing.assert_array_equal(out.values, [[1.25, -2.5]])
 
-    def test_unsupported_label(self):
-        with pytest.raises(UnsupportedLabelError):
-            remap_labels(parse_ucr("2 1 2"))
+    @pytest.mark.parametrize("text, sample, label", [
+        ("2 1 2", 1, 2), ("1 1\n2 2\n3 3", 2, 2), ("-1 1\n0 2\n5 3", 3, 5), ("1 1\n-4 2", 2, -4),
+    ])
+    def test_unsupported_label_names_first_sample(self, text, sample, label):
+        with pytest.raises(UnsupportedLabelError) as info:
+            remap_labels(parse_ucr(text))
+        assert str(info.value) == (f"sample {sample} has unsupported label {label}; "
+                                   "the accepted label conventions are -1/1 and 0/1")
 
     @pytest.mark.parametrize("text, found", [
         ("-1 1 2\n0 3 4\n1 5 6", "[-1, 0, 1]"),
         ("0 1 2\n-1 3 4", "[-1, 0]"),
     ])
     def test_mixed_conventions_rejected(self, text, found):
-        with pytest.raises(UnsupportedLabelError, match=re.escape(found)):
+        with pytest.raises(UnsupportedLabelError) as info:
             remap_labels(parse_ucr(text))
+        assert str(info.value) == (f"labels {found} mix the -1/1 and 0/1 conventions; "
+                                   "-1 and 0 would merge into one class")
 
 
 class TestZnormalize:
@@ -207,15 +255,16 @@ class TestSplitTest:
         test = load_ucr_file(ecg200_paths[1])
         a, b = split_test(test)
         assert len(a) == len(b) == 50
-        assert a.samples == test.samples[:50]
-        assert b.samples == test.samples[50:]
+        for half, rows in ((a, slice(50)), (b, slice(50, None))):
+            assert bits_equal(half.values, test.values[rows])
+            assert np.array_equal(half.labels, test.labels[rows])
 
     def test_two_sample_split(self):
         ds = parse_ucr("1 1 2\n-1 3 4")
         a, b = split_test(ds)
         assert len(a) == len(b) == 1
-        np.testing.assert_array_equal(a.samples[0].values, [1, 2])
-        np.testing.assert_array_equal(b.samples[0].values, [3, 4])
+        np.testing.assert_array_equal(a.values, [[1, 2]])
+        np.testing.assert_array_equal(b.values, [[3, 4]])
 
     def test_odd_count_rejected(self):
         ds = parse_ucr("1 1 2\n-1 3 4\n1 5 6")
@@ -224,30 +273,59 @@ class TestSplitTest:
 
     def test_halves_concatenate_to_original(self):
         gen = np.random.default_rng(1)
-        ds = dataset_from_arrays(gen.standard_normal((10, 5)),
-                                 [0, 1] * 5, class_count=2)
+        ds = Dataset(gen.standard_normal((10, 5)), [0, 1] * 5, 2)
         a, b = split_test(ds)
-        assert a.samples + b.samples == ds.samples
+        assert bits_equal(np.concatenate([a.values, b.values]), ds.values)
+        assert np.array_equal(np.concatenate([a.labels, b.labels]), ds.labels)
         assert a.class_count == b.class_count == ds.class_count
 
 
+def _holdout(ds: Dataset) -> tuple[Dataset, Dataset]:
+    return check_run(DataSplits(ds, ds, ds), [], 0.7, "holdout:0.5")
+
+
 class TestDatasetInvariants:
-    def test_length_mismatch_rejected(self):
-        s1 = TimeSeriesSample(np.ones(3), 0)
-        s2 = TimeSeriesSample(np.ones(4), 1)
-        with pytest.raises(DataFormatError):
-            Dataset((s1, s2), 3, 2)
+    @pytest.mark.parametrize("values, labels, class_count, error, message", [
+        (np.ones((2, 3)), [0, 1, 0], 2, DataFormatError, "3 labels for 2 samples"),
+        (np.ones((2, 3)), [0], 2, DataFormatError, "1 labels for 2 samples"),
+        (np.ones(3), [0, 0, 0], 2, DataFormatError, "non-empty (samples, length) matrix"),
+        (np.ones((0, 3)), [], 2, DataFormatError, "non-empty (samples, length) matrix"),
+        (np.ones((2, 0)), [0, 1], 2, DataFormatError, "non-empty (samples, length) matrix"),
+        ([[1.0, np.nan]], [0], 2, DataParseError, "non-finite"),
+        ([[1.0], [-np.inf]], [0, 1], 2, DataParseError, "non-finite"),
+        (np.ones((3, 2)), [0, 5, 7], 2, DataFormatError, "sample 2 has label 5 >= class_count 2"),
+        (np.ones((1, 2)), [0], 0, DataFormatError, "class_count must be positive"),
+    ], ids=["labels-long", "labels-short", "1-D", "no-rows", "no-columns", "nan", "inf",
+            "label-over", "no-classes"])
+    def test_rejects(self, values, labels, class_count, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Dataset(values, labels, class_count)
 
-    def test_label_exceeding_class_count_rejected(self):
-        s = TimeSeriesSample(np.ones(3), 5)
-        with pytest.raises(DataFormatError):
-            Dataset((s,), 3, 2)
+    def test_owns_its_copy(self):
+        values, labels = np.arange(6.0).reshape(2, 3), np.array([0, 1])
+        ds = Dataset(values, labels, 2)
+        values[0, 0], labels[0] = 99.0, 1
+        np.testing.assert_array_equal(ds.values, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(ds.labels, [0, 1])
 
-    def test_values_are_read_only(self):
-        s = TimeSeriesSample(np.ones(3), 0)
-        with pytest.raises(ValueError):
-            s.values[0] = 2.0
+    def test_shape_derived(self):
+        ds = Dataset(np.ones((4, 7)), [0, 1, 1, 0], 2)
+        assert (len(ds), ds.series_len) == (4, 7)
+        assert ds.values.dtype == np.float64 and ds.labels.dtype == np.int64
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(DataFormatError):
-            Dataset((), 3, 2)
+    @pytest.mark.parametrize("derive", [
+        lambda ds: ds,
+        lambda ds: ds.subset([3, 0]),
+        lambda ds: split_test(ds)[0],
+        lambda ds: split_test(ds)[1],
+        lambda ds: _holdout(ds)[0],
+        lambda ds: _holdout(ds)[1],
+        remap_labels,
+        lambda ds: parse_ucr(serialize_ucr(ds)),
+    ], ids=["constructed", "subset", "probe-half", "eval-half", "holdout-train",
+            "holdout-val", "remapped", "parsed"])
+    @pytest.mark.parametrize("field", ["values", "labels"])
+    def test_read_only(self, derive, field):
+        ds = derive(Dataset(np.arange(24.0).reshape(4, 6), [0, 1, 1, 0], 2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, field)[0] = 1

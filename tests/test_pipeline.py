@@ -21,7 +21,7 @@ from fcnaug.pipeline import (
 from fcnaug.rng import RngStream, derive_seed
 from fcnaug.training import TrainConfig
 
-from helpers import make_synthetic
+from helpers import bits_equal, make_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -149,19 +149,22 @@ class TestSelective:
             FAST, splits.train, splits.test_a, splits.test_b, threshold=1.0
         )
         assert artifacts.augmented, "threshold 1.0 should select something here"
-        source_labels = [splits.test_a.samples[i].label for i in artifacts.selection.indices]
-        for j, sample in enumerate(artifacts.augmented):
+        for sample in artifacts.augmented:
             assert abs(sample.values.mean()) < 1e-9
             assert abs(sample.values.std() - 1.0) < 1e-9
-            assert sample.label == source_labels[j // 2]
+        n = len(splits.train)
+        source_labels = splits.test_a.labels[list(artifacts.selection.indices)]
+        assert np.array_equal(artifacts.expanded_train.labels[n:], np.repeat(source_labels, 2))
 
     def test_augmented_appended_after_originals(self, splits):
         artifacts = run_selective_detailed(
             FAST, splits.train, splits.test_a, splits.test_b, threshold=1.0
         )
         n = len(splits.train)
-        assert artifacts.expanded_train.samples[:n] == splits.train.samples
-        assert artifacts.expanded_train.samples[n:] == tuple(artifacts.augmented)
+        expanded = artifacts.expanded_train
+        assert bits_equal(expanded.values[:n], splits.train.values)
+        assert np.array_equal(expanded.labels[:n], splits.train.labels)
+        assert bits_equal(expanded.values[n:], np.array([a.values for a in artifacts.augmented]))
 
     def test_threshold_zero_degenerates_to_retrained_baseline(self, splits):
         report = run_selective_detailed(
@@ -282,7 +285,9 @@ class TestCheckRun:
         k = int(0.25 * len(splits.train))
         assert len(val) == k
         assert len(train_used) == len(splits.train) - k
-        assert train_used.samples + val.samples == splits.train.samples
+        assert bits_equal(np.concatenate([train_used.values, val.values]), splits.train.values)
+        assert np.array_equal(np.concatenate([train_used.labels, val.labels]),
+                              splits.train.labels)
 
     @pytest.mark.parametrize("mode", ["holdout:0", "holdout:1", "holdout:x", "bogus"])
     def test_bad_modes(self, splits, mode):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fcnaug
-from fcnaug.data_io import Dataset, TimeSeriesSample
+from fcnaug.data_io import Dataset
 from fcnaug.errors import (
     CheckpointError,
     NumericError,
@@ -217,8 +217,7 @@ class TestTrainLoop:
         data = make_synthetic(n_per_class=3, length=12, seed=5)
         # Validating on flipped labels stalls the validation loss, so the
         # schedule halves the rate every patience epochs down to the floor.
-        flipped = Dataset([TimeSeriesSample(s.values, 1 - s.label) for s in data.samples],
-                          data.series_len, 2)
+        flipped = Dataset(data.values, 1 - data.labels, 2)
         cfg = TrainConfig(epochs=100, seed=3)
         model = train(cfg, data, flipped, RngStream(3))
         lrs = [h.lr for h in model.history]
@@ -227,7 +226,7 @@ class TestTrainLoop:
 
     def test_rejects_bad_class_count(self):
         data = make_synthetic(n_per_class=2, length=12)
-        three = Dataset(data.samples, data.series_len, 3)
+        three = Dataset(data.values, data.labels, 3)
         with pytest.raises(UnsupportedLabelError):
             train(TrainConfig(epochs=1), three, three, RngStream(0))
 
