@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -206,8 +207,8 @@ def _parse_alphas(spec_str: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
-                raise ValueError("need step > 0 and stop >= start")
+            if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+                raise ValueError("need finite bounds, step > 0 and stop >= start")
             count = int(round((stop - start) / step)) + 1
             values = [round(start + i * step, 12) for i in range(count)]
             values = [v for v in values if v <= stop + 1e-9]

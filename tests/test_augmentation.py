@@ -16,10 +16,11 @@ from fcnaug.augmentation import (
     spline_resample,
     window_length,
 )
+from fcnaug.data_io import serialize_ucr
 from fcnaug.errors import InterpolationError, ParameterError
 from fcnaug.rng import RngStream
 
-from helpers import reference_spline_resample
+from helpers import make_synthetic, reference_spline_resample
 
 
 class TestSliceWindow:
@@ -139,15 +140,33 @@ class TestSplineOracle:
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
 
-    def test_package_import_loads_no_scipy(self):
+    def test_cli_sweep_loads_only_numpy_and_the_stdlib(self, tmp_path):
+        # scipy is this class's oracle, not a dependency: a fresh interpreter that
+        # imports fcnaug.cli and runs a sweep loads numpy, fcnaug and the stdlib only.
+        for name, seed in (("toy_TRAIN.tsv", 0), ("toy_TEST.tsv", 1)):
+            (tmp_path / name).write_text(serialize_ucr(make_synthetic(4, 24, seed)))
         src = str(Path(fcnaug.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import sys, fcnaug.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=120, check=True)
-        assert result.stdout.strip() == "[]"
+        argv = ["sweep", "--train", tmp_path / "toy_TRAIN.tsv", "--test", tmp_path / "toy_TEST.tsv",
+                "--alphas", "0.5,1.0", "--epochs", 1, "--out", tmp_path / "runs"]
+        result = subprocess.run([sys.executable, "-c", ONLY_NUMPY_AND_STDLIB, *map(str, argv)],
+                                env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+
+
+# Runs fcnaug.cli.main on its arguments and prints the top-level modules it
+# loaded beyond numpy, fcnaug and the stdlib.  Cython's runtime modules, which
+# numpy's extensions register without an import spec, are not imports.
+ONLY_NUMPY_AND_STDLIB = """
+import sys
+before = set(sys.modules)
+import fcnaug.cli
+assert fcnaug.cli.main(sys.argv[1:]) == 0
+loaded = {name.partition(".")[0] for name, module in sys.modules.items()
+          if name not in before and getattr(module, "__spec__", None) is not None}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "fcnaug"}))
+"""
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -34,6 +34,17 @@ def read_json(path: Path):
     return json.loads(path.read_text())
 
 
+def read_report(path: Path):
+    """A written report file, each of its documents held to REPORT_SCHEMA.
+
+    A sweep file holds a list of documents, any other report file one.
+    """
+    doc = read_json(path)
+    for each in doc if isinstance(doc, list) else [doc]:
+        jsonschema.validate(each, REPORT_SCHEMA)
+    return doc
+
+
 def assert_clean_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -58,8 +69,7 @@ class TestBaselineCommand:
         code = run_cli("baseline", "--train", train, "--test", test,
                        "--seed", 7, "--epochs", 2, "--out", out)
         assert code == 0
-        report = read_json(out / "baseline.report.json")
-        jsonschema.validate(report, REPORT_SCHEMA)
+        report = read_report(out / "baseline.report.json")
         assert report["mode"] == "baseline"
         assert report["train_size_final"] == 16
         assert (out / "baseline.ckpt.json").is_file()
@@ -82,6 +92,7 @@ class TestBaselineCommand:
         lines = (out / "baseline.report.csv").read_text().strip().splitlines()
         assert lines[0].startswith("mode,alpha_threshold,")
         assert lines[1].startswith("baseline,")
+        assert read_report(out / "baseline.report.json")["mode"] == "baseline"
 
     def test_mixed_label_conventions_exit_2(self, data_files, tmp_path, capsys):
         _, test = data_files
@@ -154,8 +165,7 @@ class TestSelectiveCommand:
         code = run_cli("selective", "--train", train, "--test", test,
                        "--alpha", 1.0, "--epochs", 2, "--seed", 3, "--out", out)
         assert code == 0
-        report = read_json(out / "selective.report.json")
-        jsonschema.validate(report, REPORT_SCHEMA)
+        report = read_report(out / "selective.report.json")
         assert report["mode"] == "selective"
         assert report["augmented_count"] == 2 * report["selected_count"]
         assert report["train_size_final"] == 16 + report["augmented_count"]
@@ -177,7 +187,7 @@ class TestSelectiveCommand:
         out = tmp_path / "runs"
         run_cli("selective", "--train", train, "--test", test,
                 "--alpha", 0.9, "--epochs", 1, "--out", out)
-        report = read_json(out / "selective.report.json")
+        report = read_report(out / "selective.report.json")
         assert report["config"]["window_fraction"] == 0.7
 
 
@@ -199,7 +209,7 @@ class TestSweepCommand:
         assert (out / "sweep.loss.csv").is_file()
         svg = (out / "sweep.accuracy.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
-        reports = read_json(out / "sweep.reports.json")
+        reports = read_report(out / "sweep.reports.json")
         assert len(reports) == 3
 
     def test_colon_range_parses_inclusive(self, data_files, tmp_path):
@@ -207,7 +217,7 @@ class TestSweepCommand:
         out = tmp_path / "runs"
         run_cli("sweep", "--train", train, "--test", test,
                 "--alphas", "0.2:0.6:0.2", "--epochs", 1, "--out", out)
-        reports = read_json(out / "sweep.reports.json")
+        reports = read_report(out / "sweep.reports.json")
         alphas = [r["alpha_threshold"] for r in reports if r["mode"] == "selective"]
         assert alphas == [0.2, 0.4, 0.6]
 
@@ -222,11 +232,14 @@ class TestSweepCommand:
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_bad_alphas_exits_2(self, data_files, tmp_path, capsys):
+    @pytest.mark.parametrize("alphas", ["nope", "0:inf:0.1", "-inf:0:1"])
+    def test_bad_alphas_exits_2(self, data_files, tmp_path, capsys, alphas):
         train, test = data_files
         code = run_cli("sweep", "--train", train, "--test", test,
-                       "--alphas", "nope", "--epochs", 1, "--out", tmp_path / "o")
+                       f"--alphas={alphas}", "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
+        assert assert_clean_error(capsys).startswith(f"error: bad --alphas value {alphas!r}")
+        assert not (tmp_path / "o").exists()
 
     def test_alpha_out_of_range_exits_2(self, data_files, tmp_path, capsys, no_training):
         train, test = data_files
@@ -333,7 +346,7 @@ class TestAugmentCommand:
 class TestEvaluateCommand:
     def test_matches_report_numbers(self, run_dir, data_files, tmp_path, capsys):
         _, test = data_files
-        report = read_json(run_dir / "baseline.report.json")
+        report = read_report(run_dir / "baseline.report.json")
         # rebuild the eval half exactly as the pipeline does
         full = parse_ucr(Path(test).read_text())
         test_b_path = tmp_path / "test_b.tsv"
@@ -380,7 +393,7 @@ class TestConfigFile:
         code = run_cli("baseline", "--train", train, "--test", test,
                        "--config", config, "--epochs", 3, "--out", out)
         assert code == 0
-        report = read_json(out / "baseline.report.json")
+        report = read_report(out / "baseline.report.json")
         assert report["config"]["epochs"] == 3  # flag wins
         assert report["config"]["seed"] == 4  # file beats default
         assert report["config"]["batch_size"] == 32  # built-in default
@@ -426,7 +439,7 @@ class TestConfigFile:
         code = run_cli("selective", "--train", train, "--test", test, "--alpha", 0.5,
                        "--config", config, "--epochs", 1, "--out", out)
         assert code == 0
-        assert read_json(out / "selective.report.json")["config"]["window_fraction"] == 1.0
+        assert read_report(out / "selective.report.json")["config"]["window_fraction"] == 1.0
 
 
 @pytest.mark.parametrize("flag", ["--train", "--config"])
@@ -461,5 +474,8 @@ def test_error_type_sets_exit_status(monkeypatch, capsys, error):
 
 
 def test_report_schema_requires_every_report_field():
+    # report_document adds tool_version and an optional timestamp to the
+    # fields, so the schema's properties must be exactly these.
     names = [f.name for f in fields(ExperimentReport)]
     assert REPORT_SCHEMA["required"] == names + ["tool_version"]
+    assert list(REPORT_SCHEMA["properties"]) == names + ["tool_version", "timestamp"]
