@@ -51,6 +51,7 @@ from .training import TrainConfig, evaluate, history_csv, load_checkpoint, save_
 
 TRAIN_KEYS = ("seed", "epochs", "batch_size")
 FORMATS = ("json", "csv")
+MAX_RANGE_THRESHOLDS = 1000  # each threshold of a sweep is one training
 DEFAULTS = {
     **{key: getattr(TrainConfig(), key) for key in TRAIN_KEYS},
     "fraction": DEFAULT_WINDOW_FRACTION,
@@ -103,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--alphas", required=True,
-                   help="thresholds: start:stop:step or a comma-separated list")
+                   help=f"thresholds: start:stop:step (at most {MAX_RANGE_THRESHOLDS}) "
+                   "or a comma-separated list")
     p.add_argument("--fraction", type=float)
     common(p)
     p.set_defaults(func=cmd_sweep)
@@ -209,7 +211,10 @@ def _parse_alphas(spec_str: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
             if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
                 raise ValueError("need finite bounds, step > 0 and stop >= start")
-            count = int(round((stop - start) / step)) + 1
+            steps = (stop - start) / step
+            if steps >= MAX_RANGE_THRESHOLDS - 0.5:  # checked before round() meets inf
+                raise ValueError(f"a range makes at most {MAX_RANGE_THRESHOLDS} thresholds")
+            count = int(round(steps)) + 1
             values = [round(start + i * step, 12) for i in range(count)]
             values = [v for v in values if v <= stop + 1e-9]
         else:

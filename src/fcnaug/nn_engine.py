@@ -8,6 +8,16 @@ against central finite differences in the test suite.
 
 The conv runs one GEMM per kernel tap on the unpadded input, with no im2col
 matrix; its input gradient is that conv with the kernel reversed and transposed.
+When K*Cin < Cout (at ECG200, block 1's one input channel) the K shifted
+inputs are instead copied into one zero-padded (B*L, K*Cin) matrix for a
+single GEMM; block 1's weight gradient keeps the per-tap form.
+
+A :class:`Workspace` holds the activations, caches and activation gradients
+of train and infer passes, keyed by name and shape, and every kernel writes
+into them with ``out=``, so a training allocates them once per batch shape.
+A buffer is valid until the next call given the same workspace: the caches of
+a train-mode forward feed one backward pass.  Logits and parameter gradients
+are fresh arrays.  Without a workspace every call allocates afresh.
 
 Infer mode normalizes by fixed running statistics, so each block's batch
 norm is a per-channel affine map; it is folded into the conv weights and
@@ -165,6 +175,30 @@ def zeros_params(config: FcnConfig) -> FcnParams:
     )
 
 
+class Workspace:
+    """Activation, cache and gradient buffers reused from one engine call to the next.
+
+    A buffer is keyed by (name, shape of one row, dtype) and sized for the
+    largest batch seen; a smaller batch gets its leading rows, so partial
+    batches add no memory.  Its contents are valid until the next call given
+    this workspace.
+    """
+
+    def __init__(self):
+        self._buffers: dict[tuple, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        key = (name, shape[1:], dtype)
+        if key not in self._buffers or len(self._buffers[key]) < shape[0]:
+            self._buffers[key] = np.empty(shape, dtype)
+        return self._buffers[key][: shape[0]]
+
+
+def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...], dtype=np.float64):
+    """The workspace's buffer, or a fresh uninitialized array without a workspace."""
+    return np.empty(shape, dtype) if ws is None else ws.buffer(name, shape, dtype)
+
+
 # ---------------------------------------------------------------------------
 # layer forward/backward primitives
 # ---------------------------------------------------------------------------
@@ -182,26 +216,45 @@ def _conv_taps(kernel: int, length: int):
             yield k, shift, lo, hi
 
 
-def _conv(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Same-padded conv without bias: the centre tap is one (B*L, Cin) @ (Cin, Cout)
-    GEMM, and each side tap adds ``x[:, lo+shift:hi+shift] @ weights[k]`` into
-    output steps lo..hi-1."""
+def _conv(x: np.ndarray, weights: np.ndarray, ws: Workspace | None, name: str) -> np.ndarray:
+    """Same-padded conv without bias into buffer ``name``.
+
+    With K*Cin < Cout the K shifted inputs are copied side by side into a
+    zero-padded (B*L, K*Cin) matrix for one GEMM.  Otherwise the centre tap is
+    one (B*L, Cin) @ (Cin, Cout) GEMM, and each side tap adds
+    ``x[:, lo+shift:hi+shift] @ weights[k]`` into output steps lo..hi-1."""
     b, length, cin = x.shape
-    kernel = weights.shape[0]
-    # One channel: a broadcast multiply, the same products in 60% of matmul's time.
-    product = np.multiply if cin == 1 else np.matmul
-    out = product(x.reshape(b * length, cin), weights[kernel // 2]).reshape(b, length, -1)
+    kernel, _, cout = weights.shape
+    out = _buffer(ws, name, (b, length, cout))
+    flat_out = out.reshape(b * length, cout)
+    if kernel * cin < cout:
+        stacked = _buffer(ws, "stacked", (b, length, kernel, cin))
+        stacked.fill(0.0)
+        for k, shift, lo, hi in _conv_taps(kernel, length):
+            stacked[:, lo:hi, k] = x[:, lo + shift : hi + shift]
+        np.matmul(stacked.reshape(b * length, kernel * cin),
+                  weights.reshape(kernel * cin, cout), out=flat_out)
+        return out
+    np.matmul(x.reshape(b * length, cin), weights[kernel // 2], out=flat_out)
     for k, shift, lo, hi in _conv_taps(kernel, length):
         if shift:
-            out[:, lo:hi] += product(x[:, lo + shift : hi + shift], weights[k])
+            out[:, lo:hi] += np.matmul(x[:, lo + shift : hi + shift], weights[k],
+                                       out=_buffer(ws, "tap", (b, hi - lo, cout)))
     return out
 
 
-def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d_forward(
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    ws: Workspace | None = None,
+    name: str = "conv",
+) -> np.ndarray:
     """Same-padded linear convolution along the time axis.
 
     out[b, t, co] = bias[co] + sum_{k, ci} weights[k, ci, co] * x_padded[b, t+k, ci]
-    with kernel//2 zeros at each end, so the time length is preserved.
+    with kernel//2 zeros at each end, so the time length is preserved.  With a
+    workspace the output is its buffer ``name``.
     """
     if x.ndim != 3 or weights.ndim != 3:
         raise ShapeError("conv1d expects x (B, L, Cin) and weights (K, Cin, Cout)")
@@ -212,17 +265,22 @@ def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
         raise ShapeError(f"input has {x.shape[2]} channels, weights expect {cin}")
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match {cout} filters")
-    out = _conv(x, weights)
+    out = _conv(x, weights, ws, name)
     out += bias
     return out
 
 
 def conv1d_backward(
-    grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray
+    grad_out: np.ndarray,
+    x: np.ndarray,
+    weights: np.ndarray,
+    ws: Workspace | None = None,
+    name: str = "grad_x",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of conv1d_forward: (grad_x, grad_weights, grad_bias).
 
-    grad_x is the conv of grad_out with the kernel reversed and transposed.
+    grad_x is the conv of grad_out with the kernel reversed and transposed;
+    with a workspace it is the buffer ``name``.
     """
     kernel, cin, cout = weights.shape
     b, length, _ = x.shape
@@ -230,12 +288,12 @@ def conv1d_backward(
         raise ShapeError(
             f"upstream gradient shape {grad_out.shape} does not match ({b}, {length}, {cout})"
         )
-    grad_weights, grad_bias = _conv_param_grads(grad_out, x, kernel)
-    grad_x = _conv(grad_out, weights[::-1].transpose(0, 2, 1))
+    grad_weights, grad_bias = _conv_param_grads(grad_out, x, kernel, ws)
+    grad_x = _conv(grad_out, weights[::-1].transpose(0, 2, 1), ws, name)
     return grad_x, grad_weights, grad_bias
 
 
-def _conv_param_grads(grad_out: np.ndarray, x: np.ndarray, kernel: int):
+def _conv_param_grads(grad_out: np.ndarray, x: np.ndarray, kernel: int, ws: Workspace | None):
     """(grad_weights, grad_bias) of a conv: one GEMM for the centre tap, B stacked
     GEMMs summed over the batch per side tap; a padding-only tap's stays exactly 0."""
     b, length, cin = x.shape
@@ -246,7 +304,8 @@ def _conv_param_grads(grad_out: np.ndarray, x: np.ndarray, kernel: int):
     for k, shift, lo, hi in _conv_taps(kernel, length):
         if shift:
             xs = x[:, lo + shift : hi + shift].transpose(0, 2, 1)
-            grad_weights[k] = np.matmul(xs, grad_out[:, lo:hi]).sum(axis=0)
+            products = _buffer(ws, "products", (b, cin, cout))
+            np.matmul(xs, grad_out[:, lo:hi], out=products).sum(axis=0, out=grad_weights[k])
     return grad_weights, flat.sum(axis=0)
 
 
@@ -285,14 +344,16 @@ def _batchnorm_train(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     out: np.ndarray | None = None,
+    centered: np.ndarray | None = None,
 ):
     """Train-mode :func:`batchnorm_forward` into ``out`` (x itself is allowed),
-    caching (centered values, inv_std, gamma * inv_std)."""
+    caching (centered values, inv_std, gamma * inv_std); the centered values go
+    into ``centered`` when it is given."""
     n = x.shape[0] * x.shape[1]
     if n < 2:
         raise ShapeError("train-mode batchnorm needs at least 2 values per channel")
     mean = x.mean(axis=(0, 1))
-    centered = x - mean
+    centered = np.subtract(x, mean, out=centered)
     # Biased, matching the running update.
     var = np.einsum("blc,blc->c", centered, centered) / n
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -339,9 +400,11 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(grad_out: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """grad_out (or its broadcast) where x > 0, else 0; the subgradient at 0 is 0."""
-    return np.multiply(grad_out, x > 0.0, out=out)
+def relu_backward(grad_out: np.ndarray, x: np.ndarray, out=None, mask=None) -> np.ndarray:
+    """grad_out (or its broadcast) where x > 0, else 0; the subgradient at 0 is 0.
+
+    ``mask``, a boolean array shaped like x, takes the sign test when given."""
+    return np.multiply(grad_out, np.greater(x, 0.0, out=mask), out=out)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -440,7 +503,9 @@ def xent_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _folded_block_forward(x: np.ndarray, blk: ConvBlockParams) -> np.ndarray:
+def _folded_block_forward(
+    x: np.ndarray, blk: ConvBlockParams, ws: Workspace | None, name: str
+) -> np.ndarray:
     """Infer-mode conv -> batch norm -> ReLU as one conv with folded weights.
 
     With running statistics, batch norm is ``conv * scale + (beta -
@@ -449,17 +514,19 @@ def _folded_block_forward(x: np.ndarray, blk: ConvBlockParams) -> np.ndarray:
     rebuilt on every call because training updates the parameters in place.
     """
     scale = blk.gamma / np.sqrt(blk.running_var + BN_EPS)
-    out = conv1d_forward(x, blk.weights * scale, (blk.bias - blk.running_mean) * scale + blk.beta)
+    bias = (blk.bias - blk.running_mean) * scale + blk.beta
+    out = conv1d_forward(x, blk.weights * scale, bias, ws, name)
     return np.maximum(out, 0.0, out=out)
 
 
-def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str):
+def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str, ws: Workspace | None = None):
     """Run the network: three conv blocks, global average pool, dense logits.
 
     Returns (logits, caches); caches are layer inputs needed by
     :func:`fcn_backward` and are only populated in train mode.  Train mode
     updates each block's running statistics in place; infer mode folds each
-    batch norm into its conv and keeps nothing.
+    batch norm into its conv and keeps nothing.  With a workspace, the
+    activations and caches are its buffers.
     """
     _check_mode(mode)
     if batch.ndim != 3 or batch.shape[2] != params.config.block_in_channels()[0]:
@@ -469,13 +536,14 @@ def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str):
         )
     x = batch
     block_caches = []
-    for blk in params.blocks:
+    for i, blk in enumerate(params.blocks, start=1):
         if mode == INFER:
-            x = _folded_block_forward(x, blk)
+            x = _folded_block_forward(x, blk, ws, f"act{i}")
             continue
-        conv_out = conv1d_forward(x, blk.weights, blk.bias)
+        conv_out = conv1d_forward(x, blk.weights, blk.bias, ws, f"act{i}")
         bn_out, bn_cache, blk.running_mean, blk.running_var = _batchnorm_train(
-            conv_out, blk.gamma, blk.beta, blk.running_mean, blk.running_var, out=conv_out
+            conv_out, blk.gamma, blk.beta, blk.running_mean, blk.running_var,
+            out=conv_out, centered=_buffer(ws, f"centered{i}", conv_out.shape),
         )
         # ReLU in place: the activation keeps the sign mask relu_backward needs.
         x_in, x = x, np.maximum(bn_out, 0.0, out=bn_out)
@@ -488,10 +556,14 @@ def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str):
     return logits, caches
 
 
-def fcn_backward(params: FcnParams, caches, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+def fcn_backward(
+    params: FcnParams, caches, grad_logits: np.ndarray, ws: Workspace | None = None
+) -> dict[str, np.ndarray]:
     """Gradient of each learnable tensor by :meth:`FcnParams.learnables` name.
 
-    It overwrites ``caches``, so a forward pass feeds one backward pass."""
+    It overwrites ``caches``, so a forward pass feeds one backward pass.  With
+    a workspace, the activation gradients are its buffers; the returned
+    parameter gradients are always fresh arrays."""
     if caches is None or "blocks" not in caches or len(caches["blocks"]) != len(params.blocks):
         raise ShapeError("fcn_backward requires caches from a train-mode forward pass")
     grads: dict[str, np.ndarray] = {}
@@ -504,12 +576,13 @@ def fcn_backward(params: FcnParams, caches, grad_logits: np.ndarray) -> dict[str
     for i in range(len(params.blocks), 0, -1):
         blk = params.blocks[i - 1]
         x_in, bn_cache, act = caches["blocks"][i - 1]
-        dx = relu_backward(dx, act, out=dx if dx.shape == act.shape else None)
+        out = dx if dx.shape == act.shape else _buffer(ws, "grad_act", act.shape)
+        dx = relu_backward(dx, act, out, _buffer(ws, "mask", act.shape, bool))
         dconv, dgamma, dbeta = _batchnorm_backward(dx, *bn_cache)
         if i > 1:
-            dx, dweights, dbias = conv1d_backward(dconv, x_in, blk.weights)
+            dx, dweights, dbias = conv1d_backward(dconv, x_in, blk.weights, ws, f"grad_x{i}")
         else:  # the network input needs no gradient
-            dweights, dbias = _conv_param_grads(dconv, x_in, blk.weights.shape[0])
+            dweights, dbias = _conv_param_grads(dconv, x_in, blk.weights.shape[0], ws)
         grads[f"block{i}/conv_weights"] = dweights
         grads[f"block{i}/conv_bias"] = dbias
         grads[f"block{i}/bn_gamma"] = dgamma

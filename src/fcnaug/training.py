@@ -27,6 +27,7 @@ from .nn_engine import (
     TRAIN,
     FcnConfig,
     FcnParams,
+    Workspace,
     fcn_backward,
     fcn_forward,
     init_params,
@@ -44,9 +45,10 @@ ADAM_EPS = 1e-7
 
 # Rows per infer-mode forward.  At 96 points and 64 filters each activation of
 # a 32-row block is 1.5 MB, close to a 4 MB L2 cache.  Scoring 2048 rows with
-# the per-tap conv on a 2-vCPU Xeon, one BLAS thread, 8 runs each: median
-# 4810 rows/s at 32, 5234 at 16 and 5113 at 64, both gaps inside 32's
-# interquartile range of 509 rows/s.
+# the stacked block-1 conv and one workspace on a 2-vCPU Xeon, one BLAS
+# thread, two sets of 8 interleaved runs: median 5212 and 5338 rows/s at 32,
+# 5294 and 5370 at 16, 5270 and 5395 at 64.  Every gap is within 1.6%, about
+# one interquartile range (74-119 rows/s).
 INFER_BLOCK = 32
 
 
@@ -155,28 +157,35 @@ def batch_bounds(n: int, batch_size: int) -> list[tuple[int, int]]:
     return [(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
 
 
-def infer_logits(params: FcnParams, values: np.ndarray) -> np.ndarray:
-    """Infer-mode logits for an (N, L) value matrix, in blocks of INFER_BLOCK rows."""
+def infer_logits(
+    params: FcnParams, values: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
+    """Infer-mode logits for an (N, L) value matrix, in blocks of INFER_BLOCK rows.
+
+    Every block runs in ``ws``, a new workspace when none is given."""
     if values.shape[1] != params.config.series_len:
         raise ShapeError(
             f"series length {values.shape[1]} does not match the model's "
             f"{params.config.series_len}"
         )
+    ws = Workspace() if ws is None else ws
     out = []
     for start in range(0, values.shape[0], INFER_BLOCK):
         x = values[start : start + INFER_BLOCK][:, :, None]
-        logits, _ = fcn_forward(params, x, INFER)
+        logits, _ = fcn_forward(params, x, INFER, ws)
         out.append(logits)
     return np.concatenate(out, axis=0)
 
 
-def evaluate(params: FcnParams, data: Dataset) -> tuple[float, float]:
+def evaluate(
+    params: FcnParams, data: Dataset, ws: Workspace | None = None
+) -> tuple[float, float]:
     """Infer-mode accuracy and mean cross-entropy; never mutates params.
 
     Prediction is the argmax of the class probabilities with ties broken
-    toward class 0.
+    toward class 0.  The forward passes run in ``ws`` when it is given.
     """
-    logits = infer_logits(params, data.values)
+    logits = infer_logits(params, data.values, ws)
     labels = data.labels
     loss, _ = xent_loss(logits, labels)
     probs = softmax_batch(logits)
@@ -193,7 +202,8 @@ def train(
     Each epoch shuffles the training set (seeded per epoch), steps Adam over
     batches at the scheduler's current rate, evaluates the validation set in
     infer mode, and snapshots the parameters whenever the validation loss
-    strictly improves on the best seen.
+    strictly improves on the best seen.  Every step and validation pass of
+    the call shares one :class:`~fcnaug.nn_engine.Workspace`.
     """
     if train_set.class_count != 2 or val_set.class_count != 2:
         raise UnsupportedLabelError("training requires exactly 2 classes")
@@ -204,6 +214,7 @@ def train(
     params = init_params(config, rng.child("init"))
     adam = AdamState()
     plateau = PlateauState(np.inf, 0, cfg.initial_lr)
+    ws = Workspace()
 
     x_all = train_set.values
     y_all = train_set.labels
@@ -221,16 +232,16 @@ def train(
         for start, stop in batch_bounds(n, cfg.batch_size):
             idx = order[start:stop]
             batch = x_all[idx][:, :, None]
-            logits, caches = fcn_forward(params, batch, TRAIN)
+            logits, caches = fcn_forward(params, batch, TRAIN, ws)
             loss, grad_logits = xent_loss(logits, y_all[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
-            grads = fcn_backward(params, caches, grad_logits)
+            grads = fcn_backward(params, caches, grad_logits, ws)
             adam_step(adam, params, grads, lr)
             loss_sum += loss * (stop - start)
         train_loss = loss_sum / n
 
-        _, val_loss = evaluate(params, val_set)
+        _, val_loss = evaluate(params, val_set, ws)
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_val_loss:

@@ -232,7 +232,9 @@ class TestSweepCommand:
         for name in sorted(p.name for p in out1.iterdir()):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    @pytest.mark.parametrize("alphas", ["nope", "0:inf:0.1", "-inf:0:1"])
+    @pytest.mark.parametrize(
+        "alphas", ["nope", "0:inf:0.1", "-inf:0:1", "0:1:1e-6", "0:1:1e-9", "0:1e308:1e-308"]
+    )
     def test_bad_alphas_exits_2(self, data_files, tmp_path, capsys, alphas):
         train, test = data_files
         code = run_cli("sweep", "--train", train, "--test", test,

@@ -10,6 +10,7 @@ from fcnaug.nn_engine import (
     INFER,
     TRAIN,
     FcnConfig,
+    Workspace,
     batchnorm_backward,
     batchnorm_forward,
     conv1d_backward,
@@ -145,7 +146,8 @@ class TestConvBackward:
 
 
 class TestConvOracle:
-    """The per-tap GEMM conv against direct sums over time steps and taps."""
+    """The per-tap and stacked (K*Cin < Cout) convs against direct sums over
+    time steps and taps."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -158,12 +160,16 @@ class TestConvOracle:
     )
     @example(batch=2, length=1, cin=3, cout=4, kernel=7, seed=0)  # only the centre tap is real
     @example(batch=3, length=2, cin=1, cout=4, kernel=5, seed=1)  # taps 0 and 4 read padding
+    @example(batch=2, length=20, cin=1, cout=64, kernel=3, seed=2)  # block 1, stacked
+    @example(batch=3, length=2, cin=1, cout=8, kernel=7, seed=3)  # stacked, padding-only taps
     def test_matches_direct_sums(self, batch, length, cin, cout, kernel, seed):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((batch, length, cin))
         w = gen.standard_normal((kernel, cin, cout))
         bias = gen.standard_normal(cout)
         upstream = gen.standard_normal((batch, length, cout))
+        # Freed at once: stacked inputs whose padding were not zeroed would read NaN.
+        np.full((batch, length, kernel, cin), np.nan)
         np.testing.assert_allclose(
             conv1d_forward(x, w, bias), reference_conv1d(x, w, bias), rtol=1e-12, atol=1e-12
         )
@@ -517,23 +523,32 @@ class TestFcnNetwork:
             np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
     def test_train_step_peak_memory(self):
-        """One ECG200-shaped train step allocates far less than an im2col engine.
+        """One ECG200-shaped train step allocates far less than an im2col engine,
+        and next to nothing once a workspace holds its buffers.
 
         With a (B*L, K*Cin) im2col matrix per conv the peak was 30.3 MB; per-tap
-        GEMMs bring it to 14.4 MB.
+        GEMMs bring it to 14.4 MB, and a warm workspace to about 0.3 MB.
         """
         params = init_params(FcnConfig(), RngStream(15, "init"))
         x = np.random.default_rng(16).standard_normal((32, 96, 1))
         labels = np.arange(32) % 2
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            logits, caches = fcn_forward(params, x, TRAIN)
-            fcn_backward(params, caches, xent_loss(logits, labels)[1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def step_peak(ws):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                logits, caches = fcn_forward(params, x, TRAIN, ws)
+                fcn_backward(params, caches, xent_loss(logits, labels)[1], ws)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = step_peak(None)
         assert peak < 20e6, f"train step peak {peak / 1e6:.1f} MB"
+        warm = Workspace()
+        step_peak(warm)
+        peak = step_peak(warm)
+        assert peak < 1e6, f"warm-workspace train step peak {peak / 1e6:.2f} MB"
 
 
 def _nontrivial_params(config: FcnConfig, seed: int):

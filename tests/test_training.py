@@ -18,7 +18,16 @@ from fcnaug.errors import (
     ShapeError,
     UnsupportedLabelError,
 )
-from fcnaug.nn_engine import FcnConfig, init_params, zeros_params
+from fcnaug.nn_engine import (
+    TRAIN,
+    FcnConfig,
+    Workspace,
+    fcn_backward,
+    fcn_forward,
+    init_params,
+    xent_loss,
+    zeros_params,
+)
 from fcnaug.rng import RngStream
 from fcnaug.training import (
     ADAM_EPS,
@@ -37,17 +46,21 @@ from fcnaug.training import (
 
 from helpers import make_synthetic
 
-# Trains on ECG200 and prints the sha256 of every parameter tensor.
+# Trains on ECG200 and prints the sha256 of every parameter tensor and of the
+# infer-mode logits of 300 rows.
 _HASH_TRAINED_PARAMS = textwrap.dedent("""
     import hashlib, sys
+    import numpy as np
     from fcnaug.data_io import load_ucr_file, remap_labels, split_test
     from fcnaug.rng import RngStream
-    from fcnaug.training import TrainConfig, train
+    from fcnaug.training import TrainConfig, infer_logits, train
     train_set = remap_labels(load_ucr_file(sys.argv[1]))
     val_set = split_test(remap_labels(load_ucr_file(sys.argv[2])))[0]
     model = train(TrainConfig(epochs=3, seed=0), train_set, val_set, RngStream(0))
     for name, tensor in model.params.all_tensors():
         print(name, hashlib.sha256(tensor.tobytes()).hexdigest())
+    logits = infer_logits(model.params, np.random.default_rng(0).standard_normal((300, 96)))
+    print("infer_logits", hashlib.sha256(logits.tobytes()).hexdigest())
 """)
 
 
@@ -267,6 +280,33 @@ class TestEvaluate:
             evaluate(params, data)
 
 
+class TestWorkspace:
+    def test_reuse_matches_fresh_arrays_exactly(self):
+        """Train steps at batch 32, 32 and 4 and a validation pass that share one
+        workspace give bit for bit what the same calls give with fresh arrays."""
+
+        def run(ws):
+            params = init_params(FcnConfig(), RngStream(40, "init"))
+            adam = AdamState()
+            gen = np.random.default_rng(41)
+            out = []
+            for step, rows in enumerate((32, 32, 4)):
+                logits, caches = fcn_forward(params, gen.standard_normal((rows, 96, 1)), TRAIN, ws)
+                grads = fcn_backward(params, caches, xent_loss(logits, np.arange(rows) % 2)[1], ws)
+                adam_step(adam, params, grads, 1e-3)
+                out += [(f"{step}/logits", logits)]
+                out += [(f"{step}/grad {name}", g) for name, g in grads.items()]
+                out += [(f"{step}/{name}", t.copy()) for name, t in params.all_tensors()]
+            val = Dataset(gen.standard_normal((50, 96)), np.arange(50) % 2, 2)
+            return out, evaluate(params, val, ws)
+
+        (fresh, fresh_eval), (reused, reused_eval) = run(None), run(Workspace())
+        assert [name for name, _ in fresh] == [name for name, _ in reused]
+        for (name, a), (_, b) in zip(fresh, reused):
+            assert a.tobytes() == b.tobytes(), name
+        assert fresh_eval == reused_eval
+
+
 class TestCheckpoint:
     @pytest.fixture
     def model(self):
@@ -351,5 +391,5 @@ class TestBlasThreads:
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             hashes.append(result.stdout)
-        assert hashes[0].count("\n") == 20
+        assert hashes[0].count("\n") == 21
         assert hashes[0] == hashes[1]
