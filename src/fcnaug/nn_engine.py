@@ -12,12 +12,15 @@ When K*Cin < Cout (at ECG200, block 1's one input channel) the K shifted
 inputs are instead copied into one zero-padded (B*L, K*Cin) matrix for a
 single GEMM; block 1's weight gradient keeps the per-tap form.
 
-A :class:`Workspace` holds the activations, caches and activation gradients
-of train and infer passes, keyed by name and shape, and every kernel writes
-into them with ``out=``, so a training allocates them once per batch shape.
-A buffer is valid until the next call given the same workspace: the caches of
-a train-mode forward feed one backward pass.  Logits and parameter gradients
-are fresh arrays.  Without a workspace every call allocates afresh.
+Every kernel writes its activations, caches, activation gradients and conv
+scratch with ``out=`` into buffers of a :class:`Workspace`, keyed by name, row
+shape and dtype and sized for the largest batch; there is no other allocation
+path.  A caller that reuses one workspace, as a training does, allocates them
+once; :func:`fcn_forward`, :func:`fcn_backward` and the public conv primitives
+make a fresh workspace when given none, so their results share no memory with
+any other call.  A buffer is valid until the next call given
+the same workspace: the caches of a train-mode forward feed one backward pass.
+Logits and parameter gradients are fresh arrays.
 
 Infer mode normalizes by fixed running statistics, so each block's batch
 norm is a per-channel affine map; it is folded into the conv weights and
@@ -194,11 +197,6 @@ class Workspace:
         return self._buffers[key][: shape[0]]
 
 
-def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...], dtype=np.float64):
-    """The workspace's buffer, or a fresh uninitialized array without a workspace."""
-    return np.empty(shape, dtype) if ws is None else ws.buffer(name, shape, dtype)
-
-
 # ---------------------------------------------------------------------------
 # layer forward/backward primitives
 # ---------------------------------------------------------------------------
@@ -216,7 +214,7 @@ def _conv_taps(kernel: int, length: int):
             yield k, shift, lo, hi
 
 
-def _conv(x: np.ndarray, weights: np.ndarray, ws: Workspace | None, name: str) -> np.ndarray:
+def _conv(x: np.ndarray, weights: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
     """Same-padded conv without bias into buffer ``name``.
 
     With K*Cin < Cout the K shifted inputs are copied side by side into a
@@ -225,10 +223,10 @@ def _conv(x: np.ndarray, weights: np.ndarray, ws: Workspace | None, name: str) -
     ``x[:, lo+shift:hi+shift] @ weights[k]`` into output steps lo..hi-1."""
     b, length, cin = x.shape
     kernel, _, cout = weights.shape
-    out = _buffer(ws, name, (b, length, cout))
+    out = ws.buffer(name, (b, length, cout))
     flat_out = out.reshape(b * length, cout)
     if kernel * cin < cout:
-        stacked = _buffer(ws, "stacked", (b, length, kernel, cin))
+        stacked = ws.buffer("stacked", (b, length, kernel, cin))
         stacked.fill(0.0)
         for k, shift, lo, hi in _conv_taps(kernel, length):
             stacked[:, lo:hi, k] = x[:, lo + shift : hi + shift]
@@ -239,22 +237,20 @@ def _conv(x: np.ndarray, weights: np.ndarray, ws: Workspace | None, name: str) -
     for k, shift, lo, hi in _conv_taps(kernel, length):
         if shift:
             out[:, lo:hi] += np.matmul(x[:, lo + shift : hi + shift], weights[k],
-                                       out=_buffer(ws, "tap", (b, hi - lo, cout)))
+                                       out=ws.buffer("tap", (b, hi - lo, cout)))
     return out
 
 
-def conv1d_forward(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    ws: Workspace | None = None,
-    name: str = "conv",
-) -> np.ndarray:
+def _conv_input_grad(grad_out: np.ndarray, weights: np.ndarray, ws: Workspace, name: str):
+    """grad_x of a conv: the conv of grad_out with the kernel reversed and transposed."""
+    return _conv(grad_out, weights[::-1].transpose(0, 2, 1), ws, name)
+
+
+def conv1d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded linear convolution along the time axis.
 
     out[b, t, co] = bias[co] + sum_{k, ci} weights[k, ci, co] * x_padded[b, t+k, ci]
-    with kernel//2 zeros at each end, so the time length is preserved.  With a
-    workspace the output is its buffer ``name``.
+    with kernel//2 zeros at each end, so the time length is preserved.
     """
     if x.ndim != 3 or weights.ndim != 3:
         raise ShapeError("conv1d expects x (B, L, Cin) and weights (K, Cin, Cout)")
@@ -265,35 +261,25 @@ def conv1d_forward(
         raise ShapeError(f"input has {x.shape[2]} channels, weights expect {cin}")
     if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} does not match {cout} filters")
-    out = _conv(x, weights, ws, name)
+    out = _conv(x, weights, Workspace(), "conv")
     out += bias
     return out
 
 
-def conv1d_backward(
-    grad_out: np.ndarray,
-    x: np.ndarray,
-    weights: np.ndarray,
-    ws: Workspace | None = None,
-    name: str = "grad_x",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_forward: (grad_x, grad_weights, grad_bias).
-
-    grad_x is the conv of grad_out with the kernel reversed and transposed;
-    with a workspace it is the buffer ``name``.
-    """
+def conv1d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
+    """Gradients of conv1d_forward: (grad_x, grad_weights, grad_bias)."""
     kernel, cin, cout = weights.shape
     b, length, _ = x.shape
     if grad_out.shape != (b, length, cout):
         raise ShapeError(
             f"upstream gradient shape {grad_out.shape} does not match ({b}, {length}, {cout})"
         )
+    ws = Workspace()
     grad_weights, grad_bias = _conv_param_grads(grad_out, x, kernel, ws)
-    grad_x = _conv(grad_out, weights[::-1].transpose(0, 2, 1), ws, name)
-    return grad_x, grad_weights, grad_bias
+    return _conv_input_grad(grad_out, weights, ws, "grad_x"), grad_weights, grad_bias
 
 
-def _conv_param_grads(grad_out: np.ndarray, x: np.ndarray, kernel: int, ws: Workspace | None):
+def _conv_param_grads(grad_out: np.ndarray, x: np.ndarray, kernel: int, ws: Workspace):
     """(grad_weights, grad_bias) of a conv: one GEMM for the centre tap, B stacked
     GEMMs summed over the batch per side tap; a padding-only tap's stays exactly 0."""
     b, length, cin = x.shape
@@ -304,7 +290,7 @@ def _conv_param_grads(grad_out: np.ndarray, x: np.ndarray, kernel: int, ws: Work
     for k, shift, lo, hi in _conv_taps(kernel, length):
         if shift:
             xs = x[:, lo + shift : hi + shift].transpose(0, 2, 1)
-            products = _buffer(ws, "products", (b, cin, cout))
+            products = ws.buffer("products", (b, cin, cout))
             np.matmul(xs, grad_out[:, lo:hi], out=products).sum(axis=0, out=grad_weights[k])
     return grad_weights, flat.sum(axis=0)
 
@@ -503,9 +489,7 @@ def xent_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _folded_block_forward(
-    x: np.ndarray, blk: ConvBlockParams, ws: Workspace | None, name: str
-) -> np.ndarray:
+def _folded_block_forward(x: np.ndarray, blk: ConvBlockParams, ws: Workspace, name: str):
     """Infer-mode conv -> batch norm -> ReLU as one conv with folded weights.
 
     With running statistics, batch norm is ``conv * scale + (beta -
@@ -515,7 +499,8 @@ def _folded_block_forward(
     """
     scale = blk.gamma / np.sqrt(blk.running_var + BN_EPS)
     bias = (blk.bias - blk.running_mean) * scale + blk.beta
-    out = conv1d_forward(x, blk.weights * scale, bias, ws, name)
+    out = _conv(x, blk.weights * scale, ws, name)
+    out += bias
     return np.maximum(out, 0.0, out=out)
 
 
@@ -525,8 +510,8 @@ def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str, ws: Workspace |
     Returns (logits, caches); caches are layer inputs needed by
     :func:`fcn_backward` and are only populated in train mode.  Train mode
     updates each block's running statistics in place; infer mode folds each
-    batch norm into its conv and keeps nothing.  With a workspace, the
-    activations and caches are its buffers.
+    batch norm into its conv and keeps nothing.  The activations and caches
+    are buffers of ``ws``, a new workspace when none is given.
     """
     _check_mode(mode)
     if batch.ndim != 3 or batch.shape[2] != params.config.block_in_channels()[0]:
@@ -534,26 +519,26 @@ def fcn_forward(params: FcnParams, batch: np.ndarray, mode: str, ws: Workspace |
             f"batch shape {batch.shape} does not match (B, L, "
             f"{params.config.block_in_channels()[0]})"
         )
+    ws = Workspace() if ws is None else ws
     x = batch
     block_caches = []
     for i, blk in enumerate(params.blocks, start=1):
         if mode == INFER:
             x = _folded_block_forward(x, blk, ws, f"act{i}")
             continue
-        conv_out = conv1d_forward(x, blk.weights, blk.bias, ws, f"act{i}")
+        conv_out = _conv(x, blk.weights, ws, f"act{i}")
+        conv_out += blk.bias
         bn_out, bn_cache, blk.running_mean, blk.running_var = _batchnorm_train(
             conv_out, blk.gamma, blk.beta, blk.running_mean, blk.running_var,
-            out=conv_out, centered=_buffer(ws, f"centered{i}", conv_out.shape),
+            out=conv_out, centered=ws.buffer(f"centered{i}", conv_out.shape),
         )
         # ReLU in place: the activation keeps the sign mask relu_backward needs.
         x_in, x = x, np.maximum(bn_out, 0.0, out=bn_out)
         block_caches.append((x_in, bn_cache, x))
     pooled = global_avg_pool(x)
     logits = dense_forward(pooled, params.dense_weights, params.dense_bias)
-    caches = None
-    if mode == TRAIN:
-        caches = {"blocks": block_caches, "pooled": pooled, "length": batch.shape[1]}
-    return logits, caches
+    caches = {"blocks": block_caches, "pooled": pooled, "length": batch.shape[1]}
+    return logits, caches if mode == TRAIN else None
 
 
 def fcn_backward(
@@ -561,11 +546,12 @@ def fcn_backward(
 ) -> dict[str, np.ndarray]:
     """Gradient of each learnable tensor by :meth:`FcnParams.learnables` name.
 
-    It overwrites ``caches``, so a forward pass feeds one backward pass.  With
-    a workspace, the activation gradients are its buffers; the returned
-    parameter gradients are always fresh arrays."""
+    It overwrites ``caches``, so a forward pass feeds one backward pass.  The
+    activation gradients are buffers of ``ws``, a new workspace when none is
+    given; the returned parameter gradients are fresh arrays."""
     if caches is None or "blocks" not in caches or len(caches["blocks"]) != len(params.blocks):
         raise ShapeError("fcn_backward requires caches from a train-mode forward pass")
+    ws = Workspace() if ws is None else ws
     grads: dict[str, np.ndarray] = {}
     dpooled, grads["dense/weights"], grads["dense/bias"] = dense_backward(
         grad_logits, caches["pooled"], params.dense_weights
@@ -576,13 +562,12 @@ def fcn_backward(
     for i in range(len(params.blocks), 0, -1):
         blk = params.blocks[i - 1]
         x_in, bn_cache, act = caches["blocks"][i - 1]
-        out = dx if dx.shape == act.shape else _buffer(ws, "grad_act", act.shape)
-        dx = relu_backward(dx, act, out, _buffer(ws, "mask", act.shape, bool))
+        out = dx if dx.shape == act.shape else ws.buffer("grad_act", act.shape)
+        dx = relu_backward(dx, act, out, ws.buffer("mask", act.shape, bool))
         dconv, dgamma, dbeta = _batchnorm_backward(dx, *bn_cache)
-        if i > 1:
-            dx, dweights, dbias = conv1d_backward(dconv, x_in, blk.weights, ws, f"grad_x{i}")
-        else:  # the network input needs no gradient
-            dweights, dbias = _conv_param_grads(dconv, x_in, blk.weights.shape[0], ws)
+        dweights, dbias = _conv_param_grads(dconv, x_in, blk.weights.shape[0], ws)
+        if i > 1:  # block 1's input is the network input: no gradient
+            dx = _conv_input_grad(dconv, blk.weights, ws, f"grad_x{i}")
         grads[f"block{i}/conv_weights"] = dweights
         grads[f"block{i}/conv_bias"] = dbias
         grads[f"block{i}/bn_gamma"] = dgamma

@@ -74,11 +74,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators (keyed like FcnParams learnables)."""
+    """First/second moment accumulators (keyed like FcnParams learnables), plus
+    two scratch arrays per tensor that hold the update's temporaries."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,9 @@ class TrainedModel:
 def adam_step(state: AdamState, params: FcnParams, grads, lr: float):
     """One Adam update with bias correction, applied in place.
 
-    Raises NumericError naming the parameter group if a gradient is not
-    finite.
+    theta -= lr * mhat / (sqrt(vhat) + eps), each temporary written into the
+    state's scratch arrays in that expression's operation order.  Raises
+    NumericError naming the parameter group if a gradient is not finite.
     """
     state.t += 1
     t = state.t
@@ -123,15 +126,16 @@ def adam_step(state: AdamState, params: FcnParams, grads, lr: float):
         if name not in state.m:
             state.m[name] = np.zeros_like(theta)
             state.v[name] = np.zeros_like(theta)
-        m = state.m[name]
-        v = state.v[name]
+            state.scratch[name] = (np.empty_like(theta), np.empty_like(theta))
+        m, v, (a, b) = state.m[name], state.v[name], state.scratch[name]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        mhat = m / (1.0 - b1**t)
-        vhat = v / (1.0 - b2**t)
-        theta -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        v += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
+        denom = np.sqrt(np.divide(v, 1.0 - b2**t, out=a), out=a)  # sqrt(vhat)
+        denom += ADAM_EPS
+        step = np.multiply(lr, np.divide(m, 1.0 - b1**t, out=b), out=b)  # lr * mhat
+        theta -= np.divide(step, denom, out=b)
     return state, params
 
 
@@ -280,8 +284,16 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _json_value(value, kinds: tuple[type, ...], name: str):
+    """``value`` if its JSON type is one of ``kinds``; a bool is never a number."""
+    if type(value) not in kinds:
+        kind = "an integer" if kinds == (int,) else "a number"
+        raise TypeError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a checkpoint document back into a TrainedModel."""
+    """Read a checkpoint document back into a TrainedModel, checking each value's JSON type."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -295,7 +307,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             f"expected version {CHECKPOINT_FORMAT_VERSION}"
         )
     try:
-        config = FcnConfig(**{f.name: int(doc["config"][f.name]) for f in fields(FcnConfig)})
+        config = FcnConfig(**{f.name: _json_value(doc["config"][f.name], (int,), f"config.{f.name}")
+                              for f in fields(FcnConfig)})
         params = zeros_params(config)
         for name, tensor in params.all_tensors():
             entry = doc["tensors"][name]
@@ -306,11 +319,12 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             tensor[...] = np.array(entry["values"], dtype=np.float64).reshape(tensor.shape)
             if not np.isfinite(tensor).all():
                 raise CheckpointError(f"tensor {name} contains non-finite values")
-        history = [EpochStats(float(t), float(v), float(lr)) for t, v, lr in doc["history"]]
-        return TrainedModel(
-            params, int(doc["best_epoch"]), float(doc["best_val_loss"]), history
-        )
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
+        history = [EpochStats(*(float(_json_value(x, (int, float), f"history[{i}]")) for x in row))
+                   for i, row in enumerate(doc["history"])]
+        best_val_loss = float(_json_value(doc["best_val_loss"], (int, float), "best_val_loss"))
+        return TrainedModel(params, _json_value(doc["best_epoch"], (int,), "best_epoch"),
+                            best_val_loss, history)
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise CheckpointError(f"inconsistent checkpoint {path}: {exc}") from None
 
 

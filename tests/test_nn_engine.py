@@ -33,6 +33,7 @@ from fcnaug.rng import RngStream
 from fcnaug.training import INFER_BLOCK, infer_logits
 
 from helpers import (
+    bits_equal,
     check_loss_gradients,
     fd_gradient_ok,
     numeric_grad,
@@ -549,6 +550,43 @@ class TestFcnNetwork:
         step_peak(warm)
         peak = step_peak(warm)
         assert peak < 1e6, f"warm-workspace train step peak {peak / 1e6:.2f} MB"
+
+
+class TestCallsWithoutWorkspace:
+    """A call given no workspace makes its own, so no later call reuses its arrays."""
+
+    @pytest.mark.parametrize("cin, cout", [(1, 8), (4, 4)])  # stacked and per-tap conv
+    def test_conv_results_survive_the_next_call(self, cin, cout):
+        gen = np.random.default_rng(60)
+        w, b = gen.standard_normal((3, cin, cout)), gen.standard_normal(cout)
+        x1, x2 = gen.standard_normal((2, 4, 7, cin))
+        up1, up2 = gen.standard_normal((2, 4, 7, cout))
+        out = conv1d_forward(x1, w, b)
+        kept = out.copy()
+        conv1d_forward(x2, w, b)
+        assert bits_equal(out, kept)
+        grads = conv1d_backward(up1, x1, w)
+        kept = [g.copy() for g in grads]
+        conv1d_backward(up2, x2, w)
+        for got, want in zip(grads, kept):
+            assert bits_equal(got, want)
+
+    def test_train_caches_survive_another_forward(self):
+        config = FcnConfig(series_len=12, filters=8)
+        params = _nontrivial_params(config, 61)
+        gen = np.random.default_rng(62)
+        a, b = gen.standard_normal((2, 5, 12, 1))
+        labels = np.arange(5) % 2
+
+        ref = params.copy()
+        ref_logits, ref_caches = fcn_forward(ref, a, TRAIN)
+        want = fcn_backward(ref, ref_caches, xent_loss(ref_logits, labels)[1])
+        logits, caches = fcn_forward(params, a, TRAIN)
+        fcn_forward(params, b, TRAIN)
+        got = fcn_backward(params, caches, xent_loss(logits, labels)[1])
+        assert want.keys() == got.keys()
+        for name in want:
+            assert bits_equal(got[name], want[name]), name
 
 
 def _nontrivial_params(config: FcnConfig, seed: int):
