@@ -7,7 +7,10 @@ before any input is read.  Training commands load their inputs, check the
 thresholds, the window fraction and the window it gives, and the ``--val``
 mode with :func:`~fcnaug.pipeline.check_run`, and only then create ``--out``
 and train.  ``evaluate`` writes ``evaluate.json`` only when ``out`` is set by
-a flag or the config file.
+a flag or the config file.  Every output file is written with
+:func:`~fcnaug.data_io.write_atomic`, so an interrupted command leaves each
+file whole or as it was, and the augmented sets are streamed to it line by
+line.
 
 Exit codes, set by the error's type in :func:`main` alone: 0 success; 2 for
 an :class:`~fcnaug.errors.InputError` (bad flags, config keys or values,
@@ -25,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .augmentation import DEFAULT_WINDOW_FRACTION
-from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test
+from .data_io import Dataset, load_ucr_file, remap_labels, serialize_ucr, split_test, write_atomic
 from .errors import FcnAugError, InputError
 from .pipeline import (
     VAL_TESTA,
@@ -237,7 +240,7 @@ def _write_report(out: Path, report, opts) -> None:
     write_json(out / f"{report.mode}.report.json",
                report_document(report, opts["with_timestamp"]))
     if opts["format"] == "csv":
-        (out / f"{report.mode}.report.csv").write_text(report_csv(report))
+        write_atomic(out / f"{report.mode}.report.csv", report_csv(report))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,7 @@ def cmd_baseline(args) -> int:
         opts["train"], train_used, splits.test_b, val_set, opts["val"])
     _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.model, out / "baseline.ckpt.json")
-    (out / "baseline.history.csv").write_text(history_csv(artifacts.model))
+    write_atomic(out / "baseline.history.csv", history_csv(artifacts.model))
     r = artifacts.report
     print(f"baseline: accuracy={r.accuracy:.4f} loss={r.loss:.4f} "
           f"best_epoch={r.best_epoch} out={out}")
@@ -272,9 +275,8 @@ def cmd_selective(args) -> int:
     _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.initial_model, out / "selective.initial.ckpt.json")
     save_checkpoint(artifacts.model, out / "selective.final.ckpt.json")
-    (out / "selective.train_expanded.tsv").write_text(
-        serialize_ucr(artifacts.expanded_train))
-    (out / "selective.history.csv").write_text(history_csv(artifacts.model))
+    write_atomic(out / "selective.train_expanded.tsv", serialize_ucr(artifacts.expanded_train))
+    write_atomic(out / "selective.history.csv", history_csv(artifacts.model))
     r = artifacts.report
     print(f"selective: alpha={args.alpha} selected={r.selected_count} "
           f"accuracy={r.accuracy:.4f} loss={r.loss:.4f} out={out}")
@@ -291,11 +293,11 @@ def cmd_sweep(args) -> int:
     write_json(out / "sweep.reports.json",
                [report_document(r, opts["with_timestamp"]) for r in reports])
     table = sweep_table_csv(reports)
-    (out / "sweep.table.csv").write_text(table)
+    write_atomic(out / "sweep.table.csv", table)
     for metric in ("accuracy", "loss"):
-        (out / f"sweep.{metric}.csv").write_text(curve_csv(reports, metric))
+        write_atomic(out / f"sweep.{metric}.csv", curve_csv(reports, metric))
         xs, ys = zip(*curve_points(reports, metric))
-        (out / f"sweep.{metric}.svg").write_text(svg_line_chart(
+        write_atomic(out / f"sweep.{metric}.svg", svg_line_chart(
             xs, ys, f"{metric.capitalize()} by confidence threshold", "alpha threshold", metric))
     print(table, end="")
     return 0
@@ -318,9 +320,9 @@ def cmd_augment(args) -> int:
     augmented_path = out / "augment.augmented.tsv"
     if augmented:
         rows = Dataset([a.values for a in augmented], labels, probe.class_count)
-        augmented_path.write_text(serialize_ucr(rows))
+        write_atomic(augmented_path, serialize_ucr(rows))
     else:
-        augmented_path.write_text("")
+        write_atomic(augmented_path, "")
         print("warning: no samples fell below the threshold; wrote an empty file",
               file=sys.stderr)
     print(f"augment: selected={len(selection.indices)} "

@@ -6,15 +6,21 @@ by the series values, separated by tabs, commas, or runs of spaces.  A
 labels, in file order; splits and subsets index them.  Labels -1/1 (the raw
 ECG200 convention) are remapped to 0/1 by :func:`remap_labels` before
 anything downstream sees them; 0/1 is the only other accepted convention.
+
+Every file the package writes goes through :func:`write_atomic`, so an
+interrupted run never leaves a half-written file; :func:`serialize_ucr`
+yields the UCR text line by line, so a dataset is written without holding
+its whole text in memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,9 +42,11 @@ DEGENERATE_STD = 1e-8
 class Dataset:
     """Equal-length labeled series: (n, L) float64 values and (n,) int64 labels.
 
-    The dataset keeps read-only copies of both arrays, so neither the caller
-    nor a consumer can change it.  Row order is preserved exactly as read
-    from file; the probe/eval split depends on it.
+    The dataset keeps read-only arrays that own their memory, so neither the
+    caller nor a consumer can change it: an input that already is one, like
+    another dataset's values, is shared, and any other input, a view
+    included, is copied.  Row order is preserved exactly as read from
+    file; the probe/eval split depends on it.
     """
 
     values: np.ndarray
@@ -46,8 +54,8 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        values = _frozen(self.values, np.float64)
+        labels = _frozen(self.labels, np.int64)
         if values.ndim != 2 or values.size == 0:
             raise DataFormatError("dataset values must be a non-empty (samples, length) matrix")
         if labels.shape != values.shape[:1]:
@@ -77,6 +85,15 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """The rows at an index sequence or slice, keeping this dataset's class_count."""
         return Dataset(self.values[rows], self.labels[rows], self.class_count)
+
+
+def _frozen(array, dtype) -> np.ndarray:
+    """``array`` itself if it is a read-only ``dtype`` array that owns its memory,
+    such as another dataset's; otherwise a new copy."""
+    if (isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.flags.owndata and not array.flags.writeable):
+        return array
+    return np.array(array, dtype=dtype)
 
 
 def parse_ucr(text: str) -> Dataset:
@@ -119,15 +136,35 @@ def parse_ucr(text: str) -> Dataset:
     return Dataset(table[:, 1:], labels, max(int(labels.max()) + 1, 2))
 
 
-def serialize_ucr(dataset: Dataset) -> str:
-    """Render a dataset back to UCR text (tab-separated, label first).
+def serialize_ucr(dataset: Dataset) -> Iterator[str]:
+    """Yield a dataset as UCR text, one newline-terminated line per sample.
 
-    Values are written with shortest-roundtrip float formatting, so
-    parse(serialize(d)) reproduces d exactly.
+    Lines are tab-separated, label first.  Values are written with
+    shortest-roundtrip float formatting, so
+    ``parse_ucr("".join(serialize_ucr(d)))`` reproduces d exactly.
     """
-    lines = ["\t".join([str(label), *map(repr, row.tolist())])
-             for label, row in zip(dataset.labels.tolist(), dataset.values)]
-    return "\n".join(lines) + "\n"
+    for label, row in zip(dataset.labels.tolist(), dataset.values):
+        yield "\t".join([str(label), *map(repr, row.tolist())]) + "\n"
+
+
+def write_atomic(path: str | Path, chunks: str | Iterable[str]) -> None:
+    """Write a string, or the strings of an iterable in turn, to ``path`` as UTF-8.
+
+    The text goes to a temporary file beside ``path``, which then replaces
+    it in one ``os.replace``, so a reader sees the old file or the whole new
+    one.  If anything raises, the temporary file is removed and an existing
+    ``path`` is left as it was.  The new file gets the mode ``open`` gives,
+    0o666 less the umask.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines((chunks,) if isinstance(chunks, str) else chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_ucr_file(path: str | Path) -> Dataset:
@@ -145,6 +182,7 @@ def remap_labels(dataset: Dataset) -> Dataset:
     A file uses one convention, -1/1 or 0/1.  Any other label, such as the
     2 of UCR's common 1/2 convention, raises :class:`UnsupportedLabelError`,
     and so do labels -1 and 0 together, which would fall into one class.
+    The result shares the input's read-only values.
     """
     labels = dataset.labels
     unsupported = np.flatnonzero(np.abs(labels) > 1)

@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .data_io import write_atomic
 from .pipeline import ExperimentReport
 
 REPORT_SCHEMA = {
@@ -51,7 +52,7 @@ def report_document(report: ExperimentReport, with_timestamp: bool = True) -> di
 
 
 def write_json(path: str | Path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False), "\n"))
 
 
 def report_csv(report: ExperimentReport) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, write_atomic
 from .errors import (
     CheckpointError,
     NumericError,
@@ -268,7 +268,8 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     """Write the model as a self-describing JSON document.
 
     Floats are serialized with shortest-roundtrip formatting, so loading
-    reproduces every tensor bit-identically.
+    reproduces every tensor bit-identically.  The document is built as one
+    string: ``json.dump``'s streaming path would use the pure-Python encoder.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -281,7 +282,7 @@ def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
             for name, tensor in model.params.all_tensors()
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+    write_atomic(path, (json.dumps(doc, sort_keys=True, allow_nan=False), "\n"))
 
 
 def _json_value(value, kinds: tuple[type, ...], name: str):
@@ -292,11 +293,19 @@ def _json_value(value, kinds: tuple[type, ...], name: str):
     return value
 
 
+class _JsonConstant(float):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` literal, which no value type check accepts."""
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """Read a checkpoint document back into a TrainedModel, checking each value's JSON type."""
+    """Read a checkpoint document back into a TrainedModel, checking each value's JSON type.
+
+    A ``NaN``/``Infinity`` literal, a ``best_epoch`` outside the history and a
+    history row that is not three numbers are rejected, each naming its field.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=_JsonConstant)
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint file not found: {path}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -319,11 +328,17 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             tensor[...] = np.array(entry["values"], dtype=np.float64).reshape(tensor.shape)
             if not np.isfinite(tensor).all():
                 raise CheckpointError(f"tensor {name} contains non-finite values")
-        history = [EpochStats(*(float(_json_value(x, (int, float), f"history[{i}]")) for x in row))
-                   for i, row in enumerate(doc["history"])]
+        history = []
+        for i, row in enumerate(doc["history"]):
+            if type(row) is not list or len(row) != 3:
+                raise TypeError(f"history[{i}] must hold 3 numbers, got {json.dumps(row)}")
+            history.append(EpochStats(
+                *(float(_json_value(x, (int, float), f"history[{i}]")) for x in row)))
         best_val_loss = float(_json_value(doc["best_val_loss"], (int, float), "best_val_loss"))
-        return TrainedModel(params, _json_value(doc["best_epoch"], (int,), "best_epoch"),
-                            best_val_loss, history)
+        best_epoch = _json_value(doc["best_epoch"], (int,), "best_epoch")
+        if not 1 <= best_epoch <= len(history):
+            raise ValueError(f"best_epoch {best_epoch} is outside 1..{len(history)}")
+        return TrainedModel(params, best_epoch, best_val_loss, history)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise CheckpointError(f"inconsistent checkpoint {path}: {exc}") from None
 

@@ -144,7 +144,7 @@ class TestSplineOracle:
         # scipy is this class's oracle, not a dependency: a fresh interpreter that
         # imports fcnaug.cli and runs a sweep loads numpy, fcnaug and the stdlib only.
         for name, seed in (("toy_TRAIN.tsv", 0), ("toy_TEST.tsv", 1)):
-            (tmp_path / name).write_text(serialize_ucr(make_synthetic(4, 24, seed)))
+            (tmp_path / name).write_text("".join(serialize_ucr(make_synthetic(4, 24, seed))))
         src = str(Path(fcnaug.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

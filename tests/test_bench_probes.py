@@ -38,8 +38,8 @@ def traced_run(bench, tmp_path, capsys, *argv):
     """Run one CLI command on toy data under perfbench's tracer; return the tracer."""
     tracer_cls, probes = bench
     train, test = tmp_path / "toy_TRAIN.tsv", tmp_path / "toy_TEST.tsv"
-    train.write_text(serialize_ucr(make_synthetic(n_per_class=8, length=24, seed=0)))
-    test.write_text(serialize_ucr(make_synthetic(n_per_class=5, length=24, seed=1)))
+    train.write_text("".join(serialize_ucr(make_synthetic(n_per_class=8, length=24, seed=0))))
+    test.write_text("".join(serialize_ucr(make_synthetic(n_per_class=5, length=24, seed=1))))
 
     tracer = tracer_cls("fcnaug")
     tracer.install(probes)

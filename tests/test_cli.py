@@ -21,8 +21,8 @@ def data_files(tmp_path_factory):
     test = make_synthetic(n_per_class=5, length=24, seed=1)
     train_path = root / "toy_TRAIN.tsv"
     test_path = root / "toy_TEST.tsv"
-    train_path.write_text(serialize_ucr(train))
-    test_path.write_text(serialize_ucr(test))
+    train_path.write_text("".join(serialize_ucr(train)))
+    test_path.write_text("".join(serialize_ucr(test)))
     return train_path, test_path
 
 
@@ -138,7 +138,7 @@ class TestBaselineCommand:
     def test_series_length_mismatch_exits_2(self, data_files, tmp_path, capsys, no_training):
         train, _ = data_files
         short = tmp_path / "short.tsv"
-        short.write_text(serialize_ucr(make_synthetic(n_per_class=2, length=16, seed=5)))
+        short.write_text("".join(serialize_ucr(make_synthetic(n_per_class=2, length=16, seed=5))))
         code = run_cli("baseline", "--train", train, "--test", short,
                        "--val", "holdout:0.2", "--epochs", 1, "--out", tmp_path / "o")
         assert code == 2
@@ -338,6 +338,29 @@ class TestAugmentCommand:
         assert "window fraction" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_interrupted_write_keeps_the_old_file(self, checkpoint, data_files, tmp_path,
+                                                  capsys, monkeypatch):
+        """The augmented set is streamed to its file: a failure after the first
+        line leaves the previous run's file byte for byte, and no temporary file."""
+        _, test = data_files
+        out = tmp_path / "aug"
+        argv = ("augment", "--checkpoint", checkpoint, "--probe", test,
+                "--alpha", 1.0, "--out", out)
+        assert run_cli(*argv, "--seed", 2) == 0
+        before = (out / "augment.augmented.tsv").read_bytes()
+        serialize = cli.serialize_ucr
+
+        def first_line_then_fail(dataset):
+            yield next(serialize(dataset))
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "serialize_ucr", first_line_then_fail)
+        assert run_cli(*argv, "--seed", 3) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / "augment.augmented.tsv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == [
+            "augment.augmented.tsv", "augment.selection.json"]
+
     def test_missing_checkpoint_exits_2(self, data_files, tmp_path):
         _, test = data_files
         code = run_cli("augment", "--checkpoint", tmp_path / "no.json",
@@ -352,7 +375,7 @@ class TestEvaluateCommand:
         # rebuild the eval half exactly as the pipeline does
         full = parse_ucr(Path(test).read_text())
         test_b_path = tmp_path / "test_b.tsv"
-        test_b_path.write_text(serialize_ucr(full.subset(slice(len(full) // 2, None))))
+        test_b_path.write_text("".join(serialize_ucr(full.subset(slice(len(full) // 2, None)))))
         code = run_cli("evaluate", "--checkpoint", run_dir / "baseline.ckpt.json",
                        "--data", test_b_path, "--format", "json")
         assert code == 0
@@ -363,7 +386,7 @@ class TestEvaluateCommand:
     def test_length_mismatch_exits_1(self, run_dir, tmp_path, capsys):
         other = make_synthetic(n_per_class=3, length=16, seed=5)
         path = tmp_path / "short.tsv"
-        path.write_text(serialize_ucr(other))
+        path.write_text("".join(serialize_ucr(other)))
         code = run_cli("evaluate", "--checkpoint", run_dir / "baseline.ckpt.json",
                        "--data", path)
         assert code == 1

@@ -1,4 +1,9 @@
+import hashlib
+import itertools
+import os
 import re
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from fcnaug.data_io import (
     remap_labels,
     serialize_ucr,
     split_test,
+    write_atomic,
     znormalize,
 )
 from fcnaug.errors import (
@@ -22,8 +28,11 @@ from fcnaug.errors import (
     UnsupportedLabelError,
 )
 from fcnaug.pipeline import DataSplits, check_run
+from fcnaug.report import write_json
+from fcnaug.rng import RngStream
+from fcnaug.training import TrainConfig, save_checkpoint, train
 
-from helpers import bits_equal, datasets_equal
+from helpers import bits_equal, datasets_equal, make_synthetic
 
 
 class TestParseUcr:
@@ -127,20 +136,20 @@ def random_datasets(draw):
 class TestRoundTrip:
     def test_parse_serialize_parse(self, ecg200_paths):
         first = load_ucr_file(ecg200_paths[0])
-        second = parse_ucr(serialize_ucr(first))
+        second = parse_ucr("".join(serialize_ucr(first)))
         assert datasets_equal(first, second)
 
     def test_random_values_roundtrip(self):
         gen = np.random.default_rng(3)
         ds = Dataset(gen.standard_normal((7, 11)), [0, 1, 0, 1, 1, 0, 1], 2)
-        assert datasets_equal(ds, parse_ucr(serialize_ucr(ds)))
+        assert datasets_equal(ds, parse_ucr("".join(serialize_ucr(ds))))
 
     @settings(max_examples=200, deadline=None)
     @given(ds=random_datasets())
     @example(ds=Dataset([[-0.0, 0.0, -0.0]], [-1], 2))
     @example(ds=Dataset([[5e-324, -1.7976931348623157e308]], [0], 2))
     def test_roundtrip_property(self, ds):
-        assert datasets_equal(ds, parse_ucr(serialize_ucr(ds)))
+        assert datasets_equal(ds, parse_ucr("".join(serialize_ucr(ds))))
 
 
 class TestRemapLabels:
@@ -164,6 +173,13 @@ class TestRemapLabels:
         ds = parse_ucr("-1 1.25 -2.5")
         out = remap_labels(ds)
         np.testing.assert_array_equal(out.values, [[1.25, -2.5]])
+
+    def test_shares_the_read_only_values(self):
+        ds = parse_ucr("-1 1 2\n1 3 4")
+        out = remap_labels(ds)
+        assert np.shares_memory(out.values, ds.values)
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0, 0] = 9.0
 
     @pytest.mark.parametrize("text, sample, label", [
         ("2 1 2", 1, 2), ("1 1\n2 2\n3 3", 2, 2), ("-1 1\n0 2\n5 3", 3, 5), ("1 1\n-4 2", 2, -4),
@@ -307,6 +323,12 @@ class TestDatasetInvariants:
         values[0, 0], labels[0] = 99.0, 1
         np.testing.assert_array_equal(ds.values, np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(ds.labels, [0, 1])
+        # A read-only view of a writable array is copied too.
+        view = values[:]
+        view.setflags(write=False)
+        ds = Dataset(view, labels, 2)
+        values[0, 0] = -1.0
+        assert ds.values[0, 0] == 99.0 and not np.shares_memory(ds.values, values)
 
     def test_shape_derived(self):
         ds = Dataset(np.ones((4, 7)), [0, 1, 1, 0], 2)
@@ -321,7 +343,7 @@ class TestDatasetInvariants:
         lambda ds: _holdout(ds)[0],
         lambda ds: _holdout(ds)[1],
         remap_labels,
-        lambda ds: parse_ucr(serialize_ucr(ds)),
+        lambda ds: parse_ucr("".join(serialize_ucr(ds))),
     ], ids=["constructed", "subset", "probe-half", "eval-half", "holdout-train",
             "holdout-val", "remapped", "parsed"])
     @pytest.mark.parametrize("field", ["values", "labels"])
@@ -329,3 +351,103 @@ class TestDatasetInvariants:
         ds = derive(Dataset(np.arange(24.0).reshape(4, 6), [0, 1, 1, 0], 2))
         with pytest.raises(ValueError, match="read-only"):
             getattr(ds, field)[0] = 1
+
+
+def _fixed_dataset() -> Dataset:
+    values = np.arange(60.0).reshape(6, 10) / 7.0 - 4.0
+    values[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+    return Dataset(values, [1, 0, 0, 1, 1, 0], 2)
+
+
+def _leftovers(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+def _write_report(path):
+    write_json(path, {"accuracy": 0.5, "loss": 0.25})
+
+
+def _write_checkpoint(path):
+    data = make_synthetic(n_per_class=2, length=12, seed=1)
+    save_checkpoint(train(TrainConfig(epochs=1, seed=1), data, data, RngStream(1)), path)
+
+
+def _write_tsv(path):
+    write_atomic(path, serialize_ucr(_fixed_dataset()))
+
+
+class TestWriteAtomic:
+    def test_streamed_format_is_pinned(self, tmp_path):
+        """The bytes of the old ``"\\n".join(lines) + "\\n"`` rendering."""
+        path = tmp_path / "fixed.tsv"
+        write_atomic(path, serialize_ucr(_fixed_dataset()))
+        data = path.read_bytes()
+        assert len(data) == 1026
+        assert hashlib.sha256(data).hexdigest() == (
+            "9f10a460a742901d9e42fe346628d01e5278eea59582a84dc7527cfc23f1af15")
+        assert _leftovers(tmp_path) == []
+
+    def test_streams_below_the_text_size(self, tmp_path):
+        gen = np.random.default_rng(4)
+        ds = Dataset(gen.standard_normal((4000, 96)), gen.integers(0, 2, 4000), 2)
+        path = tmp_path / "big.tsv"
+        tracemalloc.start()
+        try:
+            write_atomic(path, serialize_ucr(ds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 7_000_000
+        assert peak < 1_000_000
+
+    def test_a_string_is_one_chunk(self, tmp_path):
+        write_atomic(tmp_path / "a.txt", "x\ny\n")
+        write_atomic(tmp_path / "b.txt", ())
+        assert (tmp_path / "a.txt").read_bytes() == b"x\ny\n"
+        assert (tmp_path / "b.txt").read_bytes() == b""
+
+    def test_mode_is_the_umask_default(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_atomic(tmp_path / "atomic.txt", "x")
+            (tmp_path / "plain.txt").write_text("x")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
+        assert mode == 0o644 == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+    @pytest.mark.parametrize("old", [None, b"the old file\n"], ids=["new", "existing"])
+    def test_interrupted_chunks_leave_the_old_file(self, tmp_path, old):
+        path = tmp_path / "out.tsv"
+        if old is not None:
+            path.write_bytes(old)
+
+        def first_line_then_interrupt():
+            yield from itertools.islice(serialize_ucr(_fixed_dataset()), 1)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, first_line_then_interrupt())
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("write", [_write_report, _write_checkpoint, _write_tsv],
+                             ids=["report", "checkpoint", "tsv"])
+    @pytest.mark.parametrize("old", [None, b"the old file\n"], ids=["new", "existing"])
+    def test_failed_replace_leaves_the_old_file(self, tmp_path, monkeypatch, write, old):
+        path = tmp_path / "out"
+        if old is not None:
+            path.write_bytes(old)
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", fail)
+            with pytest.raises(OSError, match="replace failed"):
+                write(path)
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert _leftovers(tmp_path) == []
+        write(path)
+        assert path.read_bytes() != old
+        assert _leftovers(tmp_path) == []

@@ -451,6 +451,47 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("where, value, message", [
+        (("best_val_loss",), math.nan, "best_val_loss must be a number, got NaN"),
+        (("history", 1, 0), math.inf, "history[1] must be a number, got Infinity"),
+        (("history", 2, 1), -math.inf, "history[2] must be a number, got -Infinity"),
+    ], ids=["nan", "infinity", "-infinity"])
+    def test_non_finite_literal_rejected(self, model, tmp_path, where, value, message):
+        """json.dumps writes NaN/Infinity/-Infinity literals, which JSON itself lacks."""
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("best_epoch", [0, -1, 4])
+    def test_best_epoch_outside_history_rejected(self, model, tmp_path, best_epoch):
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        assert len(doc["history"]) == 3
+        doc["best_epoch"] = best_epoch
+        path.write_text(json.dumps(doc))
+        message = f"best_epoch {best_epoch} is outside 1..3"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.25], [0.5, 0.25, 0.001, 7.0], 0.5],
+                             ids=["two", "four", "number"])
+    def test_history_row_of_three_values_required(self, model, tmp_path, row):
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        doc["history"][1] = row
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape("history[1] must hold 3 numbers")):
+            load_checkpoint(path)
+
     def test_integer_valued_numbers_load(self, model, tmp_path):
         path = tmp_path / "model.ckpt.json"
         save_checkpoint(model, path)
