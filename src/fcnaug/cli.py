@@ -6,11 +6,12 @@ Flag values override an optional JSON config file, which overrides
 before any input is read.  Training commands load their inputs, check the
 thresholds, the window fraction and the window it gives, and the ``--val``
 mode with :func:`~fcnaug.pipeline.check_run`, and only then create ``--out``
-and train.  ``evaluate`` writes ``evaluate.json`` only when ``out`` is set by
-a flag or the config file.  Every output file is written with
-:func:`~fcnaug.data_io.write_atomic`, so an interrupted command leaves each
-file whole or as it was, and the augmented sets are streamed to it line by
-line.
+and train; ``baseline`` and ``selective`` pass the sets that check returned
+to :func:`~fcnaug.pipeline.run_row`.  ``evaluate`` writes ``evaluate.json``
+only when ``out`` is set by a flag or the config file.  Every output file is
+written with :func:`~fcnaug.data_io.write_atomic`, so an interrupted command
+leaves each file whole or as it was, and the augmented sets are streamed to
+it line by line.
 
 Exit codes, set by the error's type in :func:`main` alone: 0 success; 2 for
 an :class:`~fcnaug.errors.InputError` (bad flags, config keys or values,
@@ -33,10 +34,10 @@ from .errors import FcnAugError, InputError
 from .pipeline import (
     VAL_TESTA,
     DataSplits,
+    RowSpec,
     augment_selected,
     check_run,
-    run_baseline_detailed,
-    run_selective_detailed,
+    run_row,
     select_low_confidence,
     sweep,
 )
@@ -253,8 +254,8 @@ def cmd_baseline(args) -> int:
     splits = _load_split(args)
     train_used, val_set = check_run(splits, [], opts["fraction"], opts["val"])
     out = _outdir(opts)
-    artifacts = run_baseline_detailed(
-        opts["train"], train_used, splits.test_b, val_set, opts["val"])
+    artifacts = run_row(RowSpec(opts["train"], None, opts["fraction"], opts["val"]),
+                        train_used, val_set, splits.test_a, splits.test_b)
     _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.model, out / "baseline.ckpt.json")
     write_atomic(out / "baseline.history.csv", history_csv(artifacts.model))
@@ -267,11 +268,10 @@ def cmd_baseline(args) -> int:
 def cmd_selective(args) -> int:
     opts = _resolve_options(args)
     splits = _load_split(args)
-    check_run(splits, [args.alpha], opts["fraction"], opts["val"])
+    train_used, val_set = check_run(splits, [args.alpha], opts["fraction"], opts["val"])
     out = _outdir(opts)
-    artifacts = run_selective_detailed(
-        opts["train"], splits.train, splits.test_a, splits.test_b,
-        args.alpha, opts["fraction"], opts["val"])
+    artifacts = run_row(RowSpec(opts["train"], args.alpha, opts["fraction"], opts["val"]),
+                        train_used, val_set, splits.test_a, splits.test_b)
     _write_report(out, artifacts.report, opts)
     save_checkpoint(artifacts.initial_model, out / "selective.initial.ckpt.json")
     save_checkpoint(artifacts.model, out / "selective.final.ckpt.json")

@@ -1,12 +1,13 @@
 """Experiment orchestration: baseline run, selective augmentation, threshold sweep.
 
-The baseline is the prefix of every run: train an initial model and, for a
-baseline, evaluate it on the held-back half (test_set_b).  A selective run
-continues from there: score the probe set (test_set_a) by confidence margin,
-augment every sample whose margin falls strictly below the threshold (twice
-each), merge the new series into the training set, retrain from scratch with
-identical hyperparameters, and evaluate the retrained model instead.
-:func:`check_run` checks a run's parameters before any training starts.
+A run is one or more rows, each a :class:`RowSpec`.  Every row trains an
+initial model; a baseline row evaluates it on the held-back half (test_set_b).
+A selective row continues from there: score the probe set (test_set_a) by
+confidence margin, augment every sample whose margin falls strictly below the
+threshold (twice each), merge the new series into the training set, retrain
+from scratch with identical hyperparameters, and evaluate the retrained model
+instead.  :func:`check_run` checks a run's parameters once, before any
+training, and :func:`run_row` runs each row on the sets it returns.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ class DataSplits:
             if half.series_len != self.train.series_len:
                 raise DataFormatError(f"test series have length {half.series_len}, "
                                       f"training series {self.train.series_len}")
+
+
+@dataclass(frozen=True)
+class RowSpec:
+    """One row of a run; ``threshold=None`` is a baseline row.  ``val_mode`` is
+    recorded, and the validation set it names comes from :func:`check_run`."""
+
+    cfg: TrainConfig
+    threshold: float | None
+    fraction: float
+    val_mode: str
 
 
 @dataclass
@@ -170,14 +182,8 @@ def check_run(
 
 
 def _report(
-    cfg: TrainConfig,
-    model: TrainedModel,
-    train_size: int,
-    test_b: Dataset,
-    val_mode: str,
-    selection: SelectionResult | None = None,
-    augmented_count: int = 0,
-    fraction: float | None = None,
+    spec: RowSpec, model: TrainedModel, train_size: int, test_b: Dataset,
+    selection: SelectionResult | None = None, augmented_count: int = 0,
 ) -> ExperimentReport:
     """Evaluate ``model`` on the eval half and record the run.
 
@@ -185,9 +191,9 @@ def _report(
     a baseline row records no window fraction.
     """
     accuracy, loss = evaluate(model.params, test_b)
-    config = asdict(cfg)
-    config["window_fraction"] = None if selection is None else fraction
-    config["val_mode"] = val_mode
+    config = asdict(spec.cfg)
+    config["window_fraction"] = None if selection is None else spec.fraction
+    config["val_mode"] = spec.val_mode
     return ExperimentReport(
         mode="baseline" if selection is None else "selective",
         alpha_threshold=None if selection is None else selection.threshold,
@@ -196,41 +202,32 @@ def _report(
         train_size_final=train_size,
         accuracy=accuracy,
         loss=loss,
-        seed=cfg.seed,
+        seed=spec.cfg.seed,
         best_epoch=model.best_epoch,
         config=config,
     )
 
 
-def _run(
-    cfg: TrainConfig,
-    train_used: Dataset,
-    val_set: Dataset,
-    test_a: Dataset | None,
-    test_b: Dataset,
-    val_mode: str,
-    threshold: float | None = None,
-    fraction: float | None = None,
+def run_row(
+    spec: RowSpec, train_used: Dataset, val_set: Dataset, test_a: Dataset | None, test_b: Dataset
 ) -> RunArtifacts:
-    """One row: the baseline, plus select, augment and retrain given a threshold.
+    """One row on the (training, validation) sets from :func:`check_run`, not checked again.
 
     The initial training draws from the same stream with or without a
-    threshold, so a baseline and a selective run at one seed share their
+    threshold, so a baseline and a selective row at one seed share their
     step-1 model bit for bit.  The retrain draws from a fresh stream ("from
     scratch", not warm-started).
     """
-    rng = RngStream(cfg.seed)
-    initial = model = train(cfg, train_used, val_set, rng.child("train", "initial"))
+    rng = RngStream(spec.cfg.seed)
+    initial = model = train(spec.cfg, train_used, val_set, rng.child("train", "initial"))
     selection, augmented, expanded = None, [], train_used
-    if threshold is not None:
-        selection = select_low_confidence(initial.params, test_a, threshold)
-        augmented, labels = augment_selected(test_a, selection, fraction, rng)
+    if spec.threshold is not None:
+        selection = select_low_confidence(initial.params, test_a, spec.threshold)
+        augmented, labels = augment_selected(test_a, selection, spec.fraction, rng)
         expanded = Dataset(np.vstack([train_used.values, *(a.values for a in augmented)]),
                            np.concatenate([train_used.labels, labels]), train_used.class_count)
-        model = train(cfg, expanded, val_set, rng.child("train", "retrain"))
-    report = _report(
-        cfg, model, len(expanded), test_b, val_mode, selection, len(augmented), fraction
-    )
+        model = train(spec.cfg, expanded, val_set, rng.child("train", "retrain"))
+    report = _report(spec, model, len(expanded), test_b, selection, len(augmented))
     return RunArtifacts(report, model, initial, selection, augmented, expanded)
 
 
@@ -241,8 +238,9 @@ def run_baseline_detailed(
     val_set: Dataset,
     val_mode: str = VAL_TESTA,
 ) -> RunArtifacts:
-    """Train on the untouched training set and evaluate on the eval half."""
-    return _run(cfg, train_set, val_set, None, test_b, val_mode)
+    """Train on the given sets and evaluate on test_b; ``val_mode`` is recorded, not applied."""
+    return run_row(RowSpec(cfg, None, DEFAULT_WINDOW_FRACTION, val_mode),
+                   train_set, val_set, None, test_b)
 
 
 def run_selective_detailed(
@@ -256,9 +254,9 @@ def run_selective_detailed(
 ) -> RunArtifacts:
     """The full selective procedure, returning every intermediate artifact."""
     train_used, val_set = check_run(
-        DataSplits(train_set, test_a, test_b), [threshold], fraction, val_mode
-    )
-    return _run(cfg, train_used, val_set, test_a, test_b, val_mode, threshold, fraction)
+        DataSplits(train_set, test_a, test_b), [threshold], fraction, val_mode)
+    return run_row(RowSpec(cfg, threshold, fraction, val_mode),
+                   train_used, val_set, test_a, test_b)
 
 
 def run_experiment_pair(
@@ -275,10 +273,9 @@ def run_experiment_pair(
     seed without training the same model twice.
     """
     train_used, val_set = check_run(splits, [threshold], fraction, val_mode)
-    artifacts = _run(
-        cfg, train_used, val_set, splits.test_a, splits.test_b, val_mode, threshold, fraction
-    )
-    baseline = _report(cfg, artifacts.initial_model, len(train_used), splits.test_b, val_mode)
+    spec = RowSpec(cfg, threshold, fraction, val_mode)
+    artifacts = run_row(spec, train_used, val_set, splits.test_a, splits.test_b)
+    baseline = _report(spec, artifacts.initial_model, len(train_used), splits.test_b)
     return baseline, artifacts.report
 
 
@@ -299,8 +296,7 @@ def sweep(
     train_used, val_set = check_run(splits, thresholds, fraction, val_mode)
     seeds = [derive_seed(cfg.seed, "baseline")]
     seeds += [derive_seed(cfg.seed, "threshold", i) for i in range(len(thresholds))]
-    return [
-        _run(replace(cfg, seed=seed), train_used, val_set, splits.test_a, splits.test_b,
-             val_mode, threshold, fraction).report
-        for seed, threshold in zip(seeds, [None, *thresholds])
-    ]
+    specs = [RowSpec(replace(cfg, seed=seed), threshold, fraction, val_mode)
+             for seed, threshold in zip(seeds, [None, *thresholds])]
+    return [run_row(spec, train_used, val_set, splits.test_a, splits.test_b).report
+            for spec in specs]

@@ -300,8 +300,9 @@ class _JsonConstant(float):
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """Read a checkpoint document back into a TrainedModel, checking each value's JSON type.
 
-    A ``NaN``/``Infinity`` literal, a ``best_epoch`` outside the history and a
-    history row that is not three numbers are rejected, each naming its field.
+    A ``NaN``/``Infinity`` literal, a ``config.class_count`` other than 2 (every
+    model is binary), a ``best_epoch`` outside the history and a history row
+    that is not three numbers are rejected, each naming its field.
     """
     path = Path(path)
     try:
@@ -318,6 +319,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     try:
         config = FcnConfig(**{f.name: _json_value(doc["config"][f.name], (int,), f"config.{f.name}")
                               for f in fields(FcnConfig)})
+        if config.class_count != 2:
+            raise ValueError(f"config.class_count must be 2, got {config.class_count}")
         params = zeros_params(config)
         for name, tensor in params.all_tensors():
             entry = doc["tensors"][name]

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -8,8 +8,11 @@ import pytest
 from fcnaug import cli, errors
 from fcnaug.cli import main
 from fcnaug.data_io import parse_ucr, serialize_ucr
+from fcnaug.nn_engine import FcnConfig, init_params
 from fcnaug.pipeline import ExperimentReport
 from fcnaug.report import REPORT_SCHEMA
+from fcnaug.rng import RngStream
+from fcnaug.training import load_checkpoint, save_checkpoint
 
 from helpers import make_synthetic
 
@@ -76,6 +79,20 @@ class TestBaselineCommand:
         history = (out / "baseline.history.csv").read_text().strip().splitlines()
         assert len(history) == 3  # header + 2 epochs
         assert "accuracy=" in capsys.readouterr().out
+
+    def test_holdout_validation(self, data_files, tmp_path):
+        """Under holdout:F the row trains on the first n - floor(F*n) samples."""
+        train, test = data_files
+        out = tmp_path / "runs"
+        code = run_cli("baseline", "--train", train, "--test", test, "--seed", 7,
+                       "--epochs", 2, "--val", "holdout:0.25", "--out", out)
+        assert code == 0
+        report = read_report(out / "baseline.report.json")
+        assert report["config"]["val_mode"] == "holdout:0.25"
+        assert report["train_size_final"] == 16 - 4
+        assert report["config"]["window_fraction"] is None
+        history = (out / "baseline.history.csv").read_text().strip().splitlines()
+        assert len(history) == 1 + 2
 
     def test_missing_file_exits_2(self, data_files, tmp_path, capsys):
         _, test = data_files
@@ -360,6 +377,23 @@ class TestAugmentCommand:
         assert (out / "augment.augmented.tsv").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == [
             "augment.augmented.tsv", "augment.selection.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ("augment", "--alpha", 0.5, "--probe"),
+        ("evaluate", "--data"),
+    ], ids=["augment", "evaluate"])
+    def test_non_binary_checkpoint_exits_1(self, checkpoint, data_files, tmp_path, capsys,
+                                           argv):
+        """A 3-class model is refused: the margin alpha needs two classes."""
+        _, test = data_files
+        model = load_checkpoint(checkpoint)
+        params = init_params(FcnConfig(series_len=24, class_count=3), RngStream(0))
+        bad = tmp_path / "three.ckpt.json"
+        save_checkpoint(replace(model, params=params), bad)
+        code = run_cli(argv[0], "--checkpoint", bad, *argv[1:], test, "--out", tmp_path / "o")
+        assert code == 1
+        assert "config.class_count must be 2, got 3" in assert_clean_error(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint_exits_2(self, data_files, tmp_path):
         _, test = data_files

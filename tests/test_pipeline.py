@@ -8,12 +8,14 @@ from fcnaug.errors import DataFormatError, ParameterError
 from fcnaug.nn_engine import FcnConfig, init_params, softmax
 from fcnaug.pipeline import (
     DataSplits,
+    RowSpec,
     SelectionResult,
     check_run,
     confidence_alpha,
     predict_alphas,
     run_baseline_detailed,
     run_experiment_pair,
+    run_row,
     run_selective_detailed,
     select_low_confidence,
     sweep,
@@ -205,6 +207,22 @@ class TestSelective:
             artifacts.initial_model.params.all_tensors(),
         ):
             np.testing.assert_array_equal(ta, tb)
+
+
+class TestNoTrainingGuard:
+    """The ``no_training`` fixture patches ``pipeline.train``; the "checked before
+    training" tests prove something only if every row trains through that name."""
+
+    @pytest.mark.parametrize("threshold", [None, 0.5], ids=["baseline", "selective"])
+    def test_run_row_trains_through_pipeline_train(self, splits, no_training, threshold):
+        train_used, val_set = check_run(splits, [], 0.7, "testa")
+        with pytest.raises(AssertionError, match="training started"):
+            run_row(RowSpec(FAST, threshold, 0.7, "testa"),
+                    train_used, val_set, splits.test_a, splits.test_b)
+
+    def test_baseline_wrapper_trains_through_pipeline_train(self, splits, no_training):
+        with pytest.raises(AssertionError, match="training started"):
+            run_baseline_detailed(FAST, splits.train, splits.test_b, splits.test_a)
 
 
 class TestExperimentPair:

@@ -6,6 +6,7 @@ import re
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,14 @@ class TestCheckpoint:
         doc["config"]["kernel"] = 4  # FcnConfig rejects an even kernel
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_binary_class_count_rejected(self, model, tmp_path):
+        """A self-consistent 3-class checkpoint is refused: alpha needs two classes."""
+        path = tmp_path / "model.ckpt.json"
+        params = init_params(FcnConfig(series_len=12, class_count=3), RngStream(4))
+        save_checkpoint(replace(model, params=params), path)
+        with pytest.raises(CheckpointError, match="config.class_count must be 2, got 3"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
